@@ -10,8 +10,6 @@ from .lefschetz import (
     Summand,
     TensorCondition,
     TypeTwoVerdict,
-    algebra_quotient,
-    algebra_slp,
     check_slp,
     check_wlp,
     csm_decompose,
@@ -44,6 +42,7 @@ from .monomials import (
     MonomialIdeal,
     ParseError,
     QuotientModule,
+    algebra_quotient,
     lex_ideal,
     minimalize,
     monomials_of_degree,

@@ -13,7 +13,6 @@ from . import __version__, sweeps
 from .lefschetz import (
     LinearForm,
     Summand,
-    algebra_quotient,
     check_slp,
     check_wlp,
     csm_decompose,
@@ -29,6 +28,7 @@ from .monomials import (
     ParseError,
     QuotientModule,
     VARIABLES,
+    algebra_quotient,
     lex_ideal,
     parse_ideal,
     parse_monomial,
@@ -197,21 +197,25 @@ def _run_pipeline_verb(args) -> tuple[dict, int]:
     )
 
 
+def _limit(args, default: int) -> int:
+    return default if args.limit is None else args.limit
+
+
 _SWEEPS = {
     "main-thm": lambda args: sweeps.sweep_main_theorem(
         amax=args.max_a, bmax=args.max_b, jobs=args.jobs
     ),
-    "type2": lambda args: sweeps.sweep_type_two(limit=args.limit or 5, jobs=args.jobs),
-    "tensor": lambda args: sweeps.sweep_tensor(limit=args.limit or 5, jobs=args.jobs),
+    "type2": lambda args: sweeps.sweep_type_two(limit=_limit(args, 5), jobs=args.jobs),
+    "tensor": lambda args: sweeps.sweep_tensor(limit=_limit(args, 5), jobs=args.jobs),
     "lgv-oracle": lambda args: sweeps.sweep_lgv_oracle(jobs=args.jobs),
     "almost-centered": lambda args: sweeps.sweep_almost_centered_lemma(
-        limit=args.limit or 4, jobs=args.jobs
+        limit=_limit(args, 4), jobs=args.jobs
     ),
     "algebra-tensor": lambda args: sweeps.sweep_algebra_tensor_lemma(
-        limit=args.limit or 4, jobs=args.jobs
+        limit=_limit(args, 4), jobs=args.jobs
     ),
     "csm": lambda args: sweeps.sweep_csm_criterion(
-        limit=args.limit or 4, jobs=args.jobs
+        limit=_limit(args, 4), jobs=args.jobs
     ),
 }
 
@@ -412,6 +416,15 @@ def _render_text(report: dict, stream) -> None:
     print(f"version: {report['version']}", file=stream)
 
 
+def _job_count(text: str) -> int:
+    """A worker count between 1 and the number of CPUs."""
+    jobs = int(text)
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {cpus}, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lefschetz",
@@ -469,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--limit", type=int, default=None, help="parameter bound")
     sweep.add_argument("--max-a", type=int, default=6)
     sweep.add_argument("--max-b", type=int, default=6)
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--jobs", type=_job_count, default=1, help="worker processes")
     sweep.set_defaults(handler=_run_sweep)
 
     reproduce = sub.add_parser("reproduce", help="replay the documented examples")

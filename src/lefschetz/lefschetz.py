@@ -17,7 +17,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     QuotientModule,
-    algebra_quotient,
     monomials_of_degree,
     variable_power,
 )
@@ -156,6 +155,13 @@ class Summand:
     shift: int = 0
     form: Optional[LinearForm] = None
 
+    def __post_init__(self) -> None:
+        if self.form is not None and self.form.nvars != self.module.nvars:
+            raise ValueError(
+                f"linear form has {self.form.nvars} coefficients for a module "
+                f"in {self.module.nvars} variables"
+            )
+
     def resolved_form(self) -> LinearForm:
         return self.form or LinearForm.all_ones(self.module.nvars)
 
@@ -164,6 +170,15 @@ class Summand:
 
 
 def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailure, ...]:
+    """Failing maps (times ell^d): M_i -> M_{i+d}, in (d, i) order.
+
+    Powers are visited from longest to shortest.  Since ell^D factors as
+    ell^(D-d) ell^d, an injective map out of M_i of length D makes every
+    shorter map out of M_i injective, and a surjective map onto M_j of
+    length D makes every shorter map onto M_j surjective.  Such maps have
+    maximal rank and are skipped; every other map is ranked exactly, so a
+    failing map is never skipped.  Block-diagonal sums factor blockwise.
+    """
     series = sum_series(s.series() for s in summands)
     if series.is_zero:
         return ()
@@ -179,14 +194,19 @@ def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailur
         {d: s.resolved_form().power_expansion(d) for d in range(1, q - p + 1)}
         for s in summands
     ]
+    dims = {i: sum(len(b[i]) for b in bases) for i in range(p, q + 1)}
+    # Longest verified injective map out of each degree, surjective map onto it.
+    injective_from: dict[int, int] = {}
+    surjective_onto: dict[int, int] = {}
     failures = []
     max_d = 1 if only_d_one else q - p
-    for d in range(1, max_d + 1):
+    for d in range(max_d, 0, -1):
         for i in range(p, q - d + 1):
-            dim_source = sum(len(b[i]) for b in bases)
-            dim_target = sum(len(b[i + d]) for b in bases)
+            dim_source, dim_target = dims[i], dims[i + d]
             expected = min(dim_source, dim_target)
             if expected == 0:
+                continue
+            if injective_from.get(i, 0) >= d or surjective_onto.get(i + d, 0) >= d:
                 continue
             blocks = [
                 _matrix_between(b[i], b[i + d], exp[d])
@@ -195,6 +215,12 @@ def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailur
             rank = ExactMatrix.block_diagonal(blocks).rank()
             if rank != expected:
                 failures.append(MapFailure(i=i, d=d, rank=rank, expected=expected))
+                continue
+            if rank == dim_source:
+                injective_from.setdefault(i, d)
+            if rank == dim_target:
+                surjective_onto.setdefault(i + d, d)
+    failures.sort(key=lambda f: (f.d, f.i))
     return tuple(failures)
 
 
@@ -425,8 +451,3 @@ def slp_with_witnesses(
         if candidate.holds:
             return candidate
     return report
-
-
-def algebra_slp(ideal: MonomialIdeal, ell: Optional[LinearForm] = None) -> LefschetzReport:
-    """SLP check for the algebra S/I."""
-    return check_slp(algebra_quotient(ideal), ell)

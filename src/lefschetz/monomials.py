@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 VARIABLES = ("x", "y", "z", "t")
 MAX_VARIABLES = 4
@@ -70,19 +71,49 @@ def variable_power(nvars: int, v: int, e: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
-    """All degree-d monomials in nvars variables, in descending lex order."""
+def exponents_of_degree(
+    d: int, caps: Sequence[Optional[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Degree-d exponent vectors, one slot per cap, in descending lex order.
 
-    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
+    A cap c bounds its slot's exponent by c - 1; None leaves it unbounded.
+    """
+
+    def rec(remaining: int, slot: int) -> Iterator[tuple[int, ...]]:
+        cap = caps[slot]
+        if slot == len(caps) - 1:
+            if cap is None or remaining < cap:
+                yield (remaining,)
             return
-        for e in range(remaining, -1, -1):
-            for rest in rec(remaining - e, slots - 1):
+        top = remaining if cap is None else min(remaining, cap - 1)
+        for e in range(top, -1, -1):
+            for rest in rec(remaining - e, slot + 1):
                 yield (e,) + rest
 
-    for exps in rec(d, nvars):
+    return rec(d, 0)
+
+
+def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
+    """All degree-d monomials in nvars variables, in descending lex order."""
+    for exps in exponents_of_degree(d, (None,) * nvars):
         yield Monomial(exps)
+
+
+def divisible_by_any(
+    exponents: tuple[int, ...], generators: Iterable[tuple[int, ...]]
+) -> bool:
+    """Whether some generator exponent vector divides ``exponents``.
+
+    The one membership kernel: ideal membership and basis filtering both
+    run on bare exponent tuples of one ambient ring.
+    """
+    for g in generators:
+        for a, b in zip(g, exponents):
+            if a > b:
+                break
+        else:
+            return True
+    return False
 
 
 def sort_descending(monomials: Iterable[Monomial]) -> list[Monomial]:
@@ -148,10 +179,14 @@ class MonomialIdeal:
     def sorted_generators(self) -> list[Monomial]:
         return sort_descending(self.generators)
 
+    @cached_property
+    def generator_exponents(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(g.exponents for g in self.generators)
+
     def contains(self, m: Monomial) -> bool:
         if m.nvars != self.nvars:
             raise ValueError("mixed ambient rings")
-        return any(g.divides(m) for g in self.generators)
+        return divisible_by_any(m.exponents, self.generator_exponents)
 
     def is_artinian(self) -> bool:
         """Whether the ideal contains a pure power of every variable."""
@@ -236,14 +271,36 @@ class QuotientModule:
     def nvars(self) -> int:
         return self.numerator.nvars
 
+    @cached_property
+    def _bases(self) -> dict[int, tuple[Monomial, ...]]:
+        """Degree -> basis, filled by :meth:`degree_basis` on first request."""
+        return {}
+
     def degree_basis(self, d: int) -> list[Monomial]:
+        """The degree-d basis in descending lex order, enumerated once per degree.
+
+        Candidates come from the box cut out by the denominator's pure powers
+        (an exponent at or above one is in the denominator) and are filtered
+        on exponent tuples; only basis members become monomials.
+        """
         if d < 0:
             raise ValueError("degree must be nonnegative")
-        return [
-            m
-            for m in monomials_of_degree(self.nvars, d)
-            if self.numerator.contains(m) and not self.denominator.contains(m)
-        ]
+        basis = self._bases.get(d)
+        if basis is None:
+            numerator = self.numerator.generator_exponents
+            denominator = self.denominator.generator_exponents
+            caps: list[Optional[int]] = [None] * self.nvars
+            for g in denominator:
+                support = [v for v, e in enumerate(g) if e]
+                if len(support) == 1:
+                    caps[support[0]] = g[support[0]]
+            basis = self._bases[d] = tuple(
+                Monomial(exps)
+                for exps in exponents_of_degree(d, caps)
+                if divisible_by_any(exps, numerator)
+                and not divisible_by_any(exps, denominator)
+            )
+        return list(basis)
 
     def dimension_in_degree(self, d: int) -> int:
         return len(self.degree_basis(d))

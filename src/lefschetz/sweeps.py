@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, Optional
 
 from .lefschetz import (
-    algebra_quotient,
     check_slp,
     check_wlp,
     csm_slp_criterion,
@@ -23,7 +22,7 @@ from .lefschetz import (
     TensorCondition,
 )
 from .lgv import binomial_matrix, count_nonintersecting, run_pipeline
-from .monomials import Monomial, MonomialIdeal, QuotientModule
+from .monomials import Monomial, MonomialIdeal, QuotientModule, algebra_quotient
 from .series import is_almost_centered
 
 
@@ -57,7 +56,11 @@ def _run(
     jobs: int,
 ) -> list:
     items = list(items)
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if not items:
+        raise ValueError("empty corpus: the sweep parameters select no cases")
+    if jobs == 1:
         return [worker(item) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, items, chunksize=16))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -199,3 +200,34 @@ def test_format_from_environment(capsys, monkeypatch):
     code, out, _ = run(capsys, "hilbert", "--num", "1", "--den", "x^2, y^2")
     assert code == 0
     json.loads(out)
+
+
+def test_short_linear_form_exits_two(capsys):
+    code, _, err = run(
+        capsys, "check", "wlp", "--num", "1", "--den", "x^2, y^2", "--linear-form", "1"
+    )
+    assert code == 2
+    assert "linear form" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("main-thm", "--max-a", "1"),
+        ("tensor", "--limit", "0"),
+        ("type2", "--limit", "0"),
+    ],
+)
+def test_empty_sweep_exits_two(capsys, argv):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == ""
+    assert "empty corpus" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
+def test_sweep_jobs_out_of_range_exits_two(jobs):
+    # argparse rejects the value before any sweep or worker starts
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "main-thm", "--max-a", "2", "--max-b", "2", "--jobs", jobs])
+    assert excinfo.value.code == 2

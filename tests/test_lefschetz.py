@@ -63,6 +63,16 @@ def test_linear_form_validation():
     assert str(LinearForm((1, 2, 1))) == "x + 2*y + z"
 
 
+def test_form_length_must_match_the_module():
+    module = algebra_quotient(parse_ideal("x^2, y^2"))
+    with pytest.raises(ValueError, match="linear form"):
+        Summand(module, form=LinearForm((1,)))
+    with pytest.raises(ValueError, match="linear form"):
+        check_wlp(module, LinearForm((1, 1, 1)))
+    with pytest.raises(ValueError, match="linear form"):
+        direct_sum_check([Summand(module), Summand(module, form=LinearForm((1,)))])
+
+
 def test_random_forms_are_seeded():
     a = LinearForm.random_forms(3, 4, seed=11)
     b = LinearForm.random_forms(3, 4, seed=11)

@@ -1,5 +1,7 @@
 from math import comb
 
+import pytest
+
 from lefschetz import Monomial, MonomialIdeal
 from lefschetz.sweeps import (
     algebra_corpus,
@@ -53,3 +55,12 @@ def test_corpora_are_nonzero_modules():
     assert modules and all(not m.hilbert_series().is_zero for m in modules)
     algebras = list(algebra_corpus(limit=2))
     assert algebras and all(not m.hilbert_series().is_zero for m in algebras)
+
+
+def test_empty_corpus_and_bad_job_count_are_rejected():
+    with pytest.raises(ValueError, match="empty corpus"):
+        sweep_main_theorem(amax=1)
+    with pytest.raises(ValueError, match="empty corpus"):
+        sweep_tensor(limit=0)
+    with pytest.raises(ValueError, match="jobs"):
+        sweep_main_theorem(amax=2, bmax=2, jobs=0)
