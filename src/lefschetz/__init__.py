@@ -16,7 +16,6 @@ from .lefschetz import (
     csm_slp_criterion,
     direct_sum_check,
     direct_sum_slp,
-    map_has_maximal_rank,
     mult_matrix,
     slp_with_witnesses,
     tensor_slp_condition,
@@ -44,7 +43,6 @@ from .monomials import (
     QuotientModule,
     algebra_quotient,
     lex_ideal,
-    minimalize,
     monomials_of_degree,
     parse_ideal,
     parse_monomial,

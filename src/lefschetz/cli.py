@@ -501,6 +501,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RuntimeError as exc:
+        # A failed internal invariant, such as PipelineInvariantError, is
+        # not the user's mistake: it gets its own message and exit code.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return ASSERTION_ERROR
     inputs = {
         key: value
         for key, value in sorted(vars(args).items())

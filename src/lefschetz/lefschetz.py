@@ -138,15 +138,6 @@ def mult_matrix(
     return _matrix_between(source, target, ell.power_expansion(d))
 
 
-def map_has_maximal_rank(
-    module: QuotientModule, ell: LinearForm, d: int, i: int
-) -> bool:
-    matrix = mult_matrix(module, ell, d, i)
-    if matrix.rows == 0 or matrix.cols == 0:
-        return True
-    return matrix.rank() == min(matrix.rows, matrix.cols)
-
-
 @dataclass(frozen=True)
 class Summand:
     """A graded summand of a direct sum: a module with a degree shift."""
@@ -190,8 +181,9 @@ def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailur
         }
         for s in summands
     ]
+    max_d = 1 if only_d_one else q - p
     expansions = [
-        {d: s.resolved_form().power_expansion(d) for d in range(1, q - p + 1)}
+        {d: s.resolved_form().power_expansion(d) for d in range(1, max_d + 1)}
         for s in summands
     ]
     dims = {i: sum(len(b[i]) for b in bases) for i in range(p, q + 1)}
@@ -199,7 +191,6 @@ def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailur
     injective_from: dict[int, int] = {}
     surjective_onto: dict[int, int] = {}
     failures = []
-    max_d = 1 if only_d_one else q - p
     for d in range(max_d, 0, -1):
         for i in range(p, q - d + 1):
             dim_source, dim_target = dims[i], dims[i + d]

@@ -12,12 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 from .exact import ExactMatrix, binomial
 from .monomials import Monomial, MonomialIdeal
 
 ENUMERATION_CAP = 24
+# Bounds of the caches of pure integer functions below.  The boxes of side
+# at most 6 have 465 (a, b, i, d) quadruples between them, and a path set
+# is keyed by its two endpoints.
+MATRIX_CACHE_SIZE = 4096
+PATH_CACHE_SIZE = 1024
 
 
 class PathSign(Enum):
@@ -58,12 +64,19 @@ def lgv_positivity(a: Sequence[int], b: Sequence[int]) -> PathSign:
     return PathSign.POSITIVE if predicted_positive else PathSign.ZERO
 
 
-def _monotone_paths(start: tuple[int, int], end: tuple[int, int]) -> list[frozenset]:
-    """All East/North lattice paths between two points, as vertex sets."""
+@lru_cache(maxsize=PATH_CACHE_SIZE)
+def _monotone_paths(
+    start: tuple[int, int], end: tuple[int, int]
+) -> tuple[frozenset, ...]:
+    """All East/North lattice paths between two points, as vertex sets.
+
+    Cached per endpoint pair; the result is a tuple so no caller can
+    change a cached value.
+    """
     east = end[0] - start[0]
     north = end[1] - start[1]
     if east < 0 or north < 0:
-        return []
+        return ()
     paths: list[frozenset] = []
 
     def walk(x: int, y: int, visited: list[tuple[int, int]]) -> None:
@@ -76,7 +89,7 @@ def _monotone_paths(start: tuple[int, int], end: tuple[int, int]) -> list[frozen
             walk(x, y + 1, visited + [(x, y + 1)])
 
     walk(start[0], start[1], [start])
-    return paths
+    return tuple(paths)
 
 
 def count_nonintersecting(a: Sequence[int], b: Sequence[int]) -> int:
@@ -101,6 +114,13 @@ def count_nonintersecting(a: Sequence[int], b: Sequence[int]) -> int:
     return count(0, frozenset())
 
 
+def _take_rows(matrix: ExactMatrix, kept: Sequence[int]) -> ExactMatrix:
+    """The rows ``kept`` of ``matrix``, in that order."""
+    return ExactMatrix(
+        len(kept), matrix.cols, tuple(e for n in kept for e in matrix.row(n))
+    )
+
+
 @dataclass(frozen=True)
 class LabeledMatrix:
     """An exact matrix with monomial row and column labels."""
@@ -109,11 +129,20 @@ class LabeledMatrix:
     row_labels: tuple[Monomial, ...]
     col_labels: tuple[Monomial, ...]
 
+    def take_rows(self, kept: Sequence[int]) -> "LabeledMatrix":
+        """The rows ``kept``, in that order, with their labels."""
+        return LabeledMatrix(
+            matrix=_take_rows(self.matrix, kept),
+            row_labels=tuple(self.row_labels[n] for n in kept),
+            col_labels=self.col_labels,
+        )
+
 
 class PipelineInvariantError(RuntimeError):
     """A structural invariant of the rank-certificate pipeline failed."""
 
 
+@lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def cl_matrix(a: int, b: int, i: int, d: int) -> LabeledMatrix:
     """Transposed matrix of (times (x+y)^d): [S/J]_i -> [S/J]_{i+d}, J = (x^a, y^b).
 
@@ -121,8 +150,11 @@ def cl_matrix(a: int, b: int, i: int, d: int) -> LabeledMatrix:
     columns by the degree-(i+d) monomials that survive trimming
     m1 = max(i+d-a+1, 0) columns on the left and m2 = max(i+d-b+1, 0) on
     the right.  Entry (row x^(i-j) y^j, column x^(i+d-m) y^m) is
-    binomial(d, m-j).
+    binomial(d, m-j).  The matrix depends on the box alone, so it is
+    computed once per (a, b, i, d) and shared by every ideal in the box.
     """
+    if a < 1 or b < 1:
+        raise ValueError("box exponents a and b must be at least 1")
     if d < 1:
         raise ValueError("power must be at least 1")
     if not 0 < i or not i + d <= a + b - 2:
@@ -139,20 +171,13 @@ def cl_matrix(a: int, b: int, i: int, d: int) -> LabeledMatrix:
     )
 
 
+def _rows_in_ideal(labeled: LabeledMatrix, ideal: MonomialIdeal) -> list[int]:
+    return [n for n, m in enumerate(labeled.row_labels) if ideal.contains(m)]
+
+
 def restrict_rows(labeled: LabeledMatrix, ideal: MonomialIdeal) -> LabeledMatrix:
     """Keep only the rows whose label monomial lies in the ideal."""
-    kept = [n for n, m in enumerate(labeled.row_labels) if ideal.contains(m)]
-    rows = [list(labeled.matrix.row(n)) for n in kept]
-    matrix = (
-        ExactMatrix.from_rows(rows)
-        if rows
-        else ExactMatrix.zeros(0, labeled.matrix.cols)
-    )
-    return LabeledMatrix(
-        matrix=matrix,
-        row_labels=tuple(labeled.row_labels[n] for n in kept),
-        col_labels=labeled.col_labels,
-    )
+    return labeled.take_rows(_rows_in_ideal(labeled, ideal))
 
 
 def pascal_column_transform(matrix: ExactMatrix) -> ExactMatrix:
@@ -186,6 +211,12 @@ def lgv_rank_certificate(bprime: ExactMatrix) -> bool:
     return all(bprime.at(n, n) != 0 for n in range(m))
 
 
+@lru_cache(maxsize=MATRIX_CACHE_SIZE)
+def _transformed_cl_matrix(a: int, b: int, i: int, d: int) -> ExactMatrix:
+    """The Pascal column transform of the whole trimmed matrix."""
+    return pascal_column_transform(cl_matrix(a, b, i, d).matrix)
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     trimmed: LabeledMatrix
@@ -201,9 +232,16 @@ def run_pipeline(
     a: int, b: int, ideal: MonomialIdeal, i: int, d: int
 ) -> PipelineResult:
     """Full certificate chain for (times (x+y)^d): M_i -> M_{i+d},
-    M = (I + (x^a, y^b))/(x^a, y^b)."""
+    M = (I + (x^a, y^b))/(x^a, y^b).
+
+    The trimmed matrix and its Pascal transform depend on (a, b, i, d)
+    only; the ideal picks which rows survive.  Column operations act on
+    each row alone, so the rows of the cached transform are the transform
+    of the restricted matrix.  Its rank is still found by elimination.
+    """
     trimmed = cl_matrix(a, b, i, d)
-    restricted = restrict_rows(trimmed, ideal)
+    kept = _rows_in_ideal(trimmed, ideal)
+    restricted = trimmed.take_rows(kept)
     m1 = max(i + d - a + 1, 0)
     offsets = tuple(m1 - label.exponents[1] for label in restricted.row_labels)
     cols = restricted.matrix.cols
@@ -215,7 +253,7 @@ def run_pipeline(
             )
     if any(k1 <= k2 for k1, k2 in zip(offsets, offsets[1:])):
         raise PipelineInvariantError("row offsets are not strictly decreasing")
-    transformed = pascal_column_transform(restricted.matrix)
+    transformed = _take_rows(_transformed_cl_matrix(a, b, i, d), kept)
     certificate = lgv_rank_certificate(transformed)
     rank = restricted.matrix.rank()
     maximal = rank == min(restricted.matrix.rows, restricted.matrix.cols)

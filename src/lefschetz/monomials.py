@@ -125,8 +125,8 @@ class MonomialIdeal:
     """A monomial ideal stored by its unique minimal generating antichain.
 
     The zero ideal has no generators; the unit ideal is generated by 1.
-    Use :func:`minimalize` or :meth:`from_generators` to construct one from
-    an arbitrary generating set.
+    Use :meth:`from_generators` to construct one from an arbitrary
+    generating set.
     """
 
     generators: frozenset[Monomial]
@@ -244,11 +244,6 @@ class MonomialIdeal:
         if self.is_zero:
             return "0"
         return ", ".join(str(g) for g in self.sorted_generators())
-
-
-def minimalize(gens: Iterable[Monomial], nvars: Optional[int] = None) -> MonomialIdeal:
-    """The divisibility antichain generating the same ideal as ``gens``."""
-    return MonomialIdeal.from_generators(gens, nvars=nvars)
 
 
 @dataclass(frozen=True)

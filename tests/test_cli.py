@@ -231,3 +231,31 @@ def test_sweep_jobs_out_of_range_exits_two(jobs):
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep", "main-thm", "--max-a", "2", "--max-b", "2", "--jobs", jobs])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("a", ["0", "-2"])
+def test_pipeline_empty_box_exits_two(capsys, a):
+    code, out, err = run(
+        capsys, "pipeline", "--a", a, "--b", "5", "--ideal", "1", "--i", "1", "--d", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "at least 1" in err
+
+
+def test_internal_error_exits_one(capsys, monkeypatch):
+    from lefschetz import cli
+    from lefschetz.lgv import PipelineInvariantError
+
+    def broken(*args):
+        raise PipelineInvariantError("row offsets are not strictly decreasing")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    code, out, err = run(
+        capsys, "pipeline", "--a", "3", "--b", "4", "--ideal", "x^3, y^4",
+        "--i", "2", "--d", "1",
+    )
+    assert code == cli.ASSERTION_ERROR == 1
+    assert out == ""
+    assert err.startswith("internal error: PipelineInvariantError:")
+    assert len(err.splitlines()) == 1

@@ -21,9 +21,9 @@ from lefschetz import (
     run_pipeline,
 )
 from lefschetz.exact import ExactMatrix
-from lefschetz.lgv import ENUMERATION_CAP
+from lefschetz.lgv import ENUMERATION_CAP, _monotone_paths
 from lefschetz.monomials import algebra_quotient
-from lefschetz.sweeps import staircase_ideal
+from lefschetz.sweeps import staircase_ideal, staircase_ideals
 
 
 ascending = st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True).map(
@@ -90,6 +90,11 @@ def test_cl_matrix_validation():
         cl_matrix(3, 3, 2, 3)
     with pytest.raises(ValueError):
         cl_matrix(3, 3, 1, 0)
+    # empty boxes; asked twice, since the cache must not swallow the error
+    for a, b in [(0, 5), (-2, 5), (5, 0), (3, -1)]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                cl_matrix(a, b, 1, 1)
 
 
 def test_restrict_rows_matches_module_matrix():
@@ -150,20 +155,32 @@ def test_rank_certificate_on_binomial_diagonal():
 
 
 def test_run_pipeline_agrees_with_elimination():
-    a, b = 4, 4
-    for heights in [(4, 4, 4, 4), (3, 2, 2, 0), (4, 2, 1, 1), (0, 0, 0, 0)]:
-        ideal = staircase_ideal(a, b, heights)
-        for i in range(1, a + b - 2):
-            for d in range(1, a + b - 2 - i + 1):
-                result = run_pipeline(a, b, ideal, i, d)
-                assert result.maximal == (
-                    result.rank
-                    == min(result.restricted.matrix.rows, result.restricted.matrix.cols)
-                )
-                assert result.rank == result.restricted.matrix.rank()
-                if result.certificate:
-                    assert result.maximal
-                # offsets strictly decrease down the rows
-                assert all(
-                    k1 > k2 for k1, k2 in zip(result.offsets, result.offsets[1:])
-                )
+    for a, b in itertools.product(range(1, 5), repeat=2):
+        for ideal in staircase_ideals(a, b):
+            for i in range(1, a + b - 2):
+                for d in range(1, a + b - 2 - i + 1):
+                    result = run_pipeline(a, b, ideal, i, d)
+                    restricted = result.restricted.matrix
+                    assert result.maximal == (
+                        result.rank == min(restricted.rows, restricted.cols)
+                    )
+                    assert result.rank == restricted.rank()
+                    if result.certificate:
+                        assert result.maximal
+                    # offsets strictly decrease down the rows
+                    assert all(
+                        k1 > k2 for k1, k2 in zip(result.offsets, result.offsets[1:])
+                    )
+                    # the cached pieces agree with the step-by-step chain
+                    trimmed = cl_matrix(a, b, i, d)
+                    assert result.restricted == restrict_rows(trimmed, ideal)
+                    assert result.transformed == pascal_column_transform(restricted)
+                    assert run_pipeline(a, b, ideal, i, d) == result
+
+
+def test_monotone_paths_are_immutable():
+    paths = _monotone_paths((-2, 2), (0, 4))
+    assert isinstance(paths, tuple)
+    assert len(paths) == binomial(4, 2)
+    assert _monotone_paths((-2, 2), (0, 4)) is paths
+    assert _monotone_paths((0, 3), (0, 1)) == ()

@@ -7,7 +7,6 @@ from lefschetz import (
     ParseError,
     QuotientModule,
     lex_ideal,
-    minimalize,
     monomials_of_degree,
     parse_ideal,
     parse_monomial,
@@ -47,9 +46,10 @@ def test_monomials_of_degree_count(n, d):
     assert exps == sorted(exps, reverse=True)
 
 
-def test_minimalize_drops_multiples():
+def test_from_generators_drops_multiples():
     gens = [Monomial((2, 0)), Monomial((3, 1)), Monomial((0, 2))]
-    assert set(minimalize(gens).generators) == {Monomial((2, 0)), Monomial((0, 2))}
+    ideal = MonomialIdeal.from_generators(gens)
+    assert set(ideal.generators) == {Monomial((2, 0)), Monomial((0, 2))}
 
 
 def test_parse_monomial():
