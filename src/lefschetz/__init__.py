@@ -17,7 +17,6 @@ from .lefschetz import (
     direct_sum_check,
     direct_sum_slp,
     mult_matrix,
-    slp_with_witnesses,
     tensor_slp_condition,
     type_two_ideal,
     type_two_slp_conditions,

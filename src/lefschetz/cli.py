@@ -7,6 +7,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import __version__, sweeps
@@ -29,6 +30,7 @@ from .monomials import (
     QuotientModule,
     VARIABLES,
     algebra_quotient,
+    infer_nvars,
     lex_ideal,
     parse_ideal,
     parse_monomial,
@@ -41,10 +43,7 @@ FORMAT_ENV_VAR = "LEFSCHETZ_OUTPUT"
 
 
 def _failure_dicts(report) -> list[dict]:
-    return [
-        {"i": f.i, "d": f.d, "rank": f.rank, "expected": f.expected}
-        for f in report.failures
-    ]
+    return [asdict(f) for f in report.failures]
 
 
 def _report_dict(report) -> dict:
@@ -66,11 +65,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _module_from_args(args) -> QuotientModule:
     nvars = args.vars
     if nvars is None:
-        nvars = 1
-        for text in (args.num, args.den):
-            for i, v in enumerate(VARIABLES):
-                if v in text:
-                    nvars = max(nvars, i + 1)
+        nvars = max(infer_nvars(args.num), infer_nvars(args.den))
     numerator = parse_ideal(args.num, nvars)
     denominator = parse_ideal(args.den, nvars)
     return QuotientModule(numerator, denominator)

@@ -168,42 +168,32 @@ def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailur
     shorter map out of M_i injective, and a surjective map onto M_j of
     length D makes every shorter map onto M_j surjective.  Such maps have
     maximal rank and are skipped; every other map is ranked exactly, so a
-    failing map is never skipped.  Block-diagonal sums factor blockwise.
+    failing map is never skipped.  A direct sum's map is block diagonal, so
+    its rank is the sum of the summands' ranks and every skip argument
+    holds blockwise.
     """
     series = sum_series(s.series() for s in summands)
     if series.is_zero:
         return ()
     p, q = series.start, series.end
-    bases = [
-        {
-            d: s.module.degree_basis(d - s.shift) if d >= s.shift else []
-            for d in range(p, q + 1)
-        }
-        for s in summands
-    ]
     max_d = 1 if only_d_one else q - p
-    expansions = [
-        {d: s.resolved_form().power_expansion(d) for d in range(1, max_d + 1)}
-        for s in summands
-    ]
-    dims = {i: sum(len(b[i]) for b in bases) for i in range(p, q + 1)}
     # Longest verified injective map out of each degree, surjective map onto it.
     injective_from: dict[int, int] = {}
     surjective_onto: dict[int, int] = {}
     failures = []
     for d in range(max_d, 0, -1):
         for i in range(p, q - d + 1):
-            dim_source, dim_target = dims[i], dims[i + d]
+            dim_source, dim_target = series.coefficient(i), series.coefficient(i + d)
             expected = min(dim_source, dim_target)
             if expected == 0:
                 continue
             if injective_from.get(i, 0) >= d or surjective_onto.get(i + d, 0) >= d:
                 continue
-            blocks = [
-                _matrix_between(b[i], b[i + d], exp[d])
-                for b, exp in zip(bases, expansions)
-            ]
-            rank = ExactMatrix.block_diagonal(blocks).rank()
+            rank = sum(
+                mult_matrix(s.module, s.resolved_form(), d, i - s.shift).rank()
+                for s in summands
+                if i >= s.shift
+            )
             if rank != expected:
                 failures.append(MapFailure(i=i, d=d, rank=rank, expected=expected))
                 continue
@@ -255,8 +245,12 @@ def direct_sum_slp(
     degrees (its maps are then vacuously compatible), so a passing block
     scan without coincidence is left alone.
     """
+    if not modules:
+        raise ValueError("direct sum needs at least one module")
     if shifts is None:
         shifts = [0] * len(modules)
+    if len(shifts) != len(modules):
+        raise ValueError(f"{len(shifts)} shifts given for {len(modules)} modules")
     summands = [
         Summand(m, shift=s, form=ell or LinearForm.all_ones(m.nvars))
         for m, s in zip(modules, shifts)
@@ -424,21 +418,3 @@ def type_two_slp_conditions(
     )
     return TypeTwoVerdict(conditions=frozenset(conditions), doubled_degrees=doubled)
 
-
-def slp_with_witnesses(
-    module: QuotientModule,
-    extra_random_forms: int = 0,
-    seed: int = 0,
-) -> LefschetzReport:
-    """SLP check with the all-ones form, optionally retrying random witnesses.
-
-    Returns the first passing report, else the all-ones report.
-    """
-    report = check_slp(module)
-    if report.holds or extra_random_forms <= 0:
-        return report
-    for form in LinearForm.random_forms(module.nvars, extra_random_forms, seed):
-        candidate = check_slp(module, form)
-        if candidate.holds:
-            return candidate
-    return report

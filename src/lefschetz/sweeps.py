@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, Optional
 
 from .lefschetz import (
@@ -84,10 +85,7 @@ def _main_theorem_case(args: tuple[int, int, tuple[int, ...]]) -> Optional[dict]
         "a": a,
         "b": b,
         "ideal": str(ideal),
-        "failures": [
-            {"i": f.i, "d": f.d, "rank": f.rank, "expected": f.expected}
-            for f in report.failures
-        ],
+        "failures": [asdict(f) for f in report.failures],
     }
 
 
@@ -171,10 +169,7 @@ def _type_two_case(params: tuple[int, int, int, int, int, int]) -> Optional[dict
     return {
         "params": list(params),
         "conditions": sorted(verdict.conditions),
-        "failures": [
-            {"i": f.i, "d": f.d, "rank": f.rank, "expected": f.expected}
-            for f in report.failures
-        ],
+        "failures": [asdict(f) for f in report.failures],
     }
 
 

@@ -1,8 +1,13 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lefschetz import LinearForm, Monomial, MonomialIdeal, QuotientModule, check_slp, check_wlp
 from lefschetz.cli import main
 
 
@@ -98,9 +103,13 @@ def test_parse_error_exits_two(capsys):
 
 
 def test_unknown_variable_exits_two(capsys):
-    code, _, err = run(capsys, "csm", "--ideal", "x^2, y^2", "--variable", "q")
-    assert code == 2
-    assert "error:" in err
+    for argv in (
+        ("csm", "--ideal", "x^2, y^2", "--variable", "q"),
+        ("check", "slp", "--num", "1", "--den", "x^2, w^2"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error:" in err
 
 
 def test_usage_error_exits_two(capsys):
@@ -193,6 +202,88 @@ def test_reproduce_targets(capsys):
         code, out, _ = run(capsys, "reproduce", target, "--format", "json")
         assert code == 0, target
         assert json.loads(out)["failures"] == []
+
+
+# sha256 of the complete `--format json` output, newline included.  These
+# bytes are the CLI's output contract: a refactor must leave them unchanged.
+PINNED_JSON_DIGESTS = {
+    ("reproduce", "example-1var"):
+        "044ee4cd47ec2edb028f0fe3f2b72de83d7340af2b0653bca0e34c3ea4288464",
+    ("reproduce", "example-lex"):
+        "44978d03ff99a9254a1b98858a7b2fbc39a09409a0b1b16c06287739355c2906",
+    ("reproduce", "example-3var"):
+        "fdfa91835e02661633624a969ef2dd8cfa028057a292901ffbda42e602c7b6c2",
+    ("reproduce", "remark-tensor"):
+        "40636307ddd7f6ff3c1d653a331a98aeea09e88cf0cb437f57afca85d5600bb1",
+    ("reproduce", "section4-csm"):
+        "d9c5ba96f5d2c757425c0d4b989ed90ab8998ae3bc807317c58537f13e318268",
+    ("check", "wlp", "--num", "x^2, y^2, z^2", "--den", "x^3, y^3, z^3"):
+        "b9abebce7c5e84be26404d5cdf7acec6f346cf634e5fd54f9f762bec94759b90",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_JSON_DIGESTS))
+def test_json_output_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_DIGESTS[argv]
+
+
+def test_check_falls_back_to_random_forms(capsys):
+    # x is no Lefschetz element of S/(x^2, y^2): x^2 kills M_0
+    argv = ("check", "slp", "--num", "1", "--den", "x^2, y^2", "--linear-form", "1,0")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["holds"] is False
+    assert result["failures"] == [{"i": 0, "d": 2, "rank": 0, "expected": 1}]
+    assert result["linear_form"] == [[1, 0]]
+    code, out, _ = run(
+        capsys, *argv, "--random-forms", "1", "--seed", "0", "--format", "json"
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["holds"] is True
+    assert result["failures"] == []
+    assert result["linear_form"] == [[50, 98]]
+
+
+@st.composite
+def small_modules(draw):
+    """An Artinian quotient (I + J)/J in 2 or 3 variables, with J in a small box."""
+    nvars = draw(st.integers(2, 3))
+    monomial = st.tuples(*[st.integers(0, 3)] * nvars).map(Monomial)
+    box = draw(st.tuples(*[st.integers(2, 4)] * nvars))
+    powers = [Monomial(tuple(e if v == u else 0 for v in range(nvars))) for u, e in enumerate(box)]
+    # no unit generator, so every variable shows in the denominator's text
+    den = powers + draw(st.lists(monomial.filter(lambda m: m.degree > 0), max_size=2))
+    num = draw(st.lists(monomial, max_size=2))
+    numerator = MonomialIdeal.from_generators(num, nvars) if num else MonomialIdeal.unit(nvars)
+    return QuotientModule(numerator, MonomialIdeal.from_generators(den, nvars))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_modules(),
+    st.sampled_from(["wlp", "slp"]),
+    st.lists(st.integers(-1, 2), min_size=3, max_size=3),
+)
+def test_check_json_matches_library(module, prop, coefficients):
+    coefficients = coefficients[: module.nvars]
+    form = LinearForm(tuple(coefficients)) if any(coefficients) else None
+    argv = ["check", prop, "--num", str(module.numerator), "--den", str(module.denominator)]
+    if form is not None:
+        argv.append("--linear-form=" + ",".join(map(str, form.coefficients)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--format", "json"]) == 0
+    result = json.loads(out.getvalue())["result"]
+    report = (check_wlp if prop == "wlp" else check_slp)(module, form)
+    assert result["holds"] == report.holds
+    assert [(f["i"], f["d"], f["rank"], f["expected"]) for f in result["failures"]] == [
+        (f.i, f.d, f.rank, f.expected) for f in report.failures
+    ]
+    assert result["linear_form"] == [list(f.coefficients) for f in report.linear_form]
 
 
 def test_format_from_environment(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lefschetz import (
+    ExactMatrix,
     LinearForm,
     MapFailure,
     Monomial,
@@ -23,7 +24,7 @@ from lefschetz import (
     type_two_ideal,
     type_two_slp_conditions,
 )
-from lefschetz.lefschetz import slp_with_witnesses
+import lefschetz.lefschetz as lefschetz_module
 from lefschetz.monomials import algebra_quotient
 
 
@@ -135,6 +136,37 @@ def test_direct_sum_check_shifted_copies():
     assert MapFailure(i=1, d=1, rank=0, expected=1) in report.failures
 
 
+def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
+    module = algebra_quotient(parse_ideal("x^8, y^8, z^8"))
+    expanded, built, ranks = [], [], []
+    expansion_power = {}
+    power_expansion = LinearForm.power_expansion
+    matrix_between = lefschetz_module._matrix_between
+    rank = ExactMatrix.rank
+
+    def spy_expansion(form, d):
+        terms = power_expansion(form, d)
+        expanded.append(d)
+        expansion_power[id(terms)] = (d, terms)
+        return terms
+
+    def spy_matrix(source, target, expansion):
+        built.append(expansion_power[id(expansion)][0])
+        return matrix_between(source, target, expansion)
+
+    def spy_rank(matrix):
+        ranks.append(matrix.rows)
+        return rank(matrix)
+
+    monkeypatch.setattr(LinearForm, "power_expansion", spy_expansion)
+    monkeypatch.setattr(lefschetz_module, "_matrix_between", spy_matrix)
+    monkeypatch.setattr(ExactMatrix, "rank", spy_rank)
+    assert check_slp(module).holds
+    # one summand: every map the scan builds is ranked, and nothing else is
+    assert len(built) == len(ranks) > 0
+    assert set(expanded) == set(built)
+
+
 def test_direct_sum_slp_coincidence():
     module = algebra_quotient(parse_ideal("x^2", nvars=1))
     assert direct_sum_slp([module, module])
@@ -145,6 +177,15 @@ def test_direct_sum_slp_coincidence():
     with pytest.raises(ValueError):
         # 1 + 2t is not symmetric
         direct_sum_slp([algebra_quotient(parse_ideal("x^2, x*y, y^2"))])
+    with pytest.raises(ValueError, match="shifts"):
+        # one shift for two modules must not judge the first module alone
+        direct_sum_slp(
+            [module, algebra_quotient(parse_ideal("x^3", nvars=1))], shifts=[0]
+        )
+    with pytest.raises(ValueError, match="shifts"):
+        direct_sum_slp([module], shifts=[0, 1])
+    with pytest.raises(ValueError, match="at least one"):
+        direct_sum_slp([])
 
 
 def test_csm_decompose_three_variable_example():
@@ -217,8 +258,3 @@ def test_type_two_conditions():
     none = type_two_slp_conditions(4, 4, 2, 1, 1, 1)
     assert not none.predicts_slp
 
-
-def test_slp_with_witnesses_falls_back_to_random_forms():
-    module = algebra_quotient(parse_ideal("x^3, y^4"))
-    report = slp_with_witnesses(module, extra_random_forms=2, seed=3)
-    assert report.holds
