@@ -7,6 +7,7 @@ from .lefschetz import (
     LefschetzReport,
     LinearForm,
     MapFailure,
+    ReportInvariantError,
     Summand,
     TensorCondition,
     TypeTwoVerdict,

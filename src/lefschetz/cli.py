@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -53,6 +54,22 @@ def _report_dict(report) -> dict:
         "failures": _failure_dicts(report),
         "linear_form": [list(f.coefficients) for f in report.linear_form],
     }
+
+
+# argparse reads a token that starts with "-" as an option unless it is one
+# plain number, so the value of "--linear-form -1,0" would go missing.
+_NEGATIVE_INT_LIST = re.compile(r"-\d+(\s*,\s*[+-]?\d+)*")
+
+
+def _attach_negative_forms(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--linear-form -1,0`` as ``--linear-form=-1,0``."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--linear-form" and _NEGATIVE_INT_LIST.fullmatch(arg):
+            out[-1] = f"--linear-form={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -489,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_negative_forms(argv))
     started = time.monotonic()
     try:
         body, exit_code = args.handler(args)
@@ -497,8 +515,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RuntimeError as exc:
-        # A failed internal invariant, such as PipelineInvariantError, is
-        # not the user's mistake: it gets its own message and exit code.
+        # A failed internal invariant, such as PipelineInvariantError or
+        # ReportInvariantError, is not the user's mistake: it gets its own
+        # message and exit code.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return ASSERTION_ERROR
     inputs = {

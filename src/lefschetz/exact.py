@@ -3,6 +3,8 @@
 All arithmetic is on Python integers; no floating point is used anywhere.
 Rank and determinant use Bareiss-style fraction-free elimination so that
 intermediate entries stay integral and bounded by minors of the input.
+The rank modulo a small prime is a one-sided bound on the rational rank
+and serves as a cheap full-rank certificate.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+# The largest prime below 2^15: a product of two residues is below 2^30,
+# so it fits in one CPython digit.
+CERTIFICATE_PRIME = 32749
 
 
 def binomial(n: int, k: int) -> int:
@@ -59,10 +65,6 @@ class ExactMatrix:
         return cls(nrows, ncols, tuple(e for r in rows for e in r))
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
@@ -74,13 +76,6 @@ class ExactMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def apply(self, vector: Sequence[int]) -> list[int]:
         """Matrix-vector product."""
@@ -94,6 +89,44 @@ class ExactMatrix:
     def rank(self) -> int:
         """Exact rank over the rationals."""
         rank, _sign, _pivot = _fraction_free_echelon(self.to_rows())
+        return rank
+
+    def rank_mod_p(self) -> int:
+        """Rank over F_p for p = :data:`CERTIFICATE_PRIME`.
+
+        Every minor that vanishes over the integers vanishes mod p, so this
+        is never above :meth:`rank`; when it reaches min(rows, cols) the
+        matrix has maximal rank over the rationals.
+        """
+        p = CERTIFICATE_PRIME
+        rows, cols = self.rows, self.cols
+        residues = [e % p for e in self.entries]
+        # Eliminate along the shorter side: the rank is the same, the work less.
+        if rows > cols:
+            lines = [residues[j::cols] for j in range(cols)]
+            width = rows
+        else:
+            lines = [residues[k * cols : (k + 1) * cols] for k in range(rows)]
+            width = cols
+        rank = 0
+        for col in range(width):
+            for k, line in enumerate(lines):
+                if line[col]:
+                    break
+            else:
+                continue
+            pivot = lines.pop(k)
+            inverse = pow(pivot[col], -1, p)
+            tail = [e * inverse % p for e in pivot[col:]]
+            for line in lines:
+                factor = line[col]
+                if factor:
+                    line[col:] = [
+                        (a - factor * b) % p for a, b in zip(line[col:], tail)
+                    ]
+            rank += 1
+            if not lines:
+                break
         return rank
 
     def determinant(self) -> int:

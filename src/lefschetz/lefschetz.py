@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from operator import le, mul
 from typing import Optional, Sequence
 
 from .exact import ExactMatrix, multinomial
@@ -27,6 +29,10 @@ from .series import (
     is_symmetric,
     sum_series,
 )
+
+# Bound on the memoised (form, power) expansions; a scan asks for each
+# power once per source degree.
+EXPANSION_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,12 @@ class LinearForm:
             for _ in range(count)
         ]
 
-    def power_expansion(self, d: int) -> list[tuple[tuple[int, ...], int]]:
-        """Monomial expansion of the d-th power: (exponent vector, coefficient)."""
+    @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
+    def power_expansion(self, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Monomial expansion of the d-th power: (exponent vector, coefficient).
+
+        Memoised per (form, d), so the result is an immutable tuple.
+        """
         if d < 0:
             raise ValueError("power must be nonnegative")
         terms = []
@@ -68,7 +78,7 @@ class LinearForm:
                     coeff *= c**e
             if coeff:
                 terms.append((m.exponents, coeff))
-        return terms
+        return tuple(terms)
 
     def __str__(self) -> str:
         from .monomials import VARIABLES
@@ -90,6 +100,10 @@ class MapFailure:
     expected: int
 
 
+class ReportInvariantError(RuntimeError):
+    """A report whose verdict contradicts its failure list: an internal fault."""
+
+
 @dataclass(frozen=True)
 class LefschetzReport:
     property: str
@@ -99,7 +113,7 @@ class LefschetzReport:
 
     def __post_init__(self) -> None:
         if self.holds != (not self.failures):
-            raise ValueError("holds must mirror an empty failure list")
+            raise ReportInvariantError("holds must mirror an empty failure list")
 
 
 def _matrix_between(
@@ -107,18 +121,39 @@ def _matrix_between(
     target: Sequence[Monomial],
     expansion: Sequence[tuple[tuple[int, ...], int]],
 ) -> ExactMatrix:
-    """Matrix of multiplication by an expanded form power, target x source."""
-    index = {m.exponents: i for i, m in enumerate(target)}
-    data = [[0] * len(source) for _ in range(len(target))]
+    """Matrix of multiplication by an expanded form power, target x source.
+
+    Each basis is homogeneous, and the target's degree is the source's
+    degree plus the power's.  An exponent vector is packed into one integer
+    with radix target degree + 1: no slot of a product reaches the radix,
+    so adding two codes adds the vectors.  A term with a slot above that
+    slot's largest target exponent can never land on the target and is
+    dropped before the loop.
+    """
+    rows, cols = len(target), len(source)
+    if not rows or not cols:
+        return ExactMatrix.zeros(rows, cols)
+    radix = target[0].degree + 1
+    weights = [radix**k for k in reversed(range(len(target[0].exponents)))]
+    tops = [max(slot) for slot in zip(*[m.exponents for m in target])]
+    # target code -> offset of its row in the flat row-major entries
+    offset = {
+        sum(map(mul, m.exponents, weights)): r * cols for r, m in enumerate(target)
+    }
+    terms = [
+        (sum(map(mul, exps, weights)), coeff)
+        for exps, coeff in expansion
+        if all(map(le, exps, tops))
+    ]
+    entries = [0] * (rows * cols)
+    get = offset.get
     for j, u in enumerate(source):
-        for exps, coeff in expansion:
-            w = tuple(a + b for a, b in zip(u.exponents, exps))
-            i = index.get(w)
-            if i is not None:
-                data[i][j] += coeff
-    if not target:
-        return ExactMatrix.zeros(0, len(source))
-    return ExactMatrix.from_rows(data)
+        base = sum(map(mul, u.exponents, weights))
+        for packed, coeff in terms:
+            at = get(base + packed)
+            if at is not None:
+                entries[at + j] += coeff
+    return ExactMatrix(rows, cols, tuple(entries))
 
 
 def mult_matrix(
@@ -167,10 +202,12 @@ def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailur
     ell^(D-d) ell^d, an injective map out of M_i of length D makes every
     shorter map out of M_i injective, and a surjective map onto M_j of
     length D makes every shorter map onto M_j surjective.  Such maps have
-    maximal rank and are skipped; every other map is ranked exactly, so a
-    failing map is never skipped.  A direct sum's map is block diagonal, so
-    its rank is the sum of the summands' ranks and every skip argument
-    holds blockwise.
+    maximal rank and are skipped; every other map is ranked, so a failing
+    map is never skipped.  A direct sum's map is block diagonal, so its rank
+    is the sum of the summands' ranks and every skip argument holds
+    blockwise.  A rank mod p is never above the rational rank, so an F_p
+    rank of ``expected`` proves maximal rank; any other map is ranked again
+    by exact elimination, so every failure rank is exact.
     """
     series = sum_series(s.series() for s in summands)
     if series.is_zero:
@@ -189,11 +226,14 @@ def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailur
                 continue
             if injective_from.get(i, 0) >= d or surjective_onto.get(i + d, 0) >= d:
                 continue
-            rank = sum(
-                mult_matrix(s.module, s.resolved_form(), d, i - s.shift).rank()
+            blocks = [
+                mult_matrix(s.module, s.resolved_form(), d, i - s.shift)
                 for s in summands
                 if i >= s.shift
-            )
+            ]
+            rank = sum(block.rank_mod_p() for block in blocks)
+            if rank != expected:
+                rank = sum(block.rank() for block in blocks)
             if rank != expected:
                 failures.append(MapFailure(i=i, d=d, rank=rank, expected=expected))
                 continue

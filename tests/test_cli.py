@@ -248,6 +248,22 @@ def test_check_falls_back_to_random_forms(capsys):
     assert result["linear_form"] == [[50, 98]]
 
 
+@pytest.mark.parametrize("form", ["-1,0", "-1, -2", "-3,2"])
+def test_negative_linear_form_is_a_value(capsys, form):
+    argv = ("check", "wlp", "--num", "1", "--den", "x^2, y^2", "--format", "json")
+    code, out, err = run(capsys, *argv, "--linear-form", form)
+    assert code == 0, err
+    report = json.loads(out)
+    coefficients = tuple(int(c) for c in form.split(","))
+    assert report["inputs"]["linear_form"] == form
+    assert report["result"]["linear_form"] == [list(coefficients)]
+    module = QuotientModule(MonomialIdeal.unit(2), MonomialIdeal.from_generators(
+        [Monomial((2, 0)), Monomial((0, 2))]))
+    assert report["result"]["holds"] == check_wlp(module, LinearForm(coefficients)).holds
+    # the attached spelling reads the same value
+    assert run(capsys, *argv, f"--linear-form={form}")[1] == out
+
+
 @st.composite
 def small_modules(draw):
     """An Artinian quotient (I + J)/J in 2 or 3 variables, with J in a small box."""
@@ -273,7 +289,7 @@ def test_check_json_matches_library(module, prop, coefficients):
     form = LinearForm(tuple(coefficients)) if any(coefficients) else None
     argv = ["check", prop, "--num", str(module.numerator), "--den", str(module.denominator)]
     if form is not None:
-        argv.append("--linear-form=" + ",".join(map(str, form.coefficients)))
+        argv += ["--linear-form", ",".join(map(str, form.coefficients))]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv + ["--format", "json"]) == 0

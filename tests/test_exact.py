@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lefschetz import ExactMatrix, binomial, multinomial
+from lefschetz.exact import CERTIFICATE_PRIME
 
 
 def permanent_style_determinant(matrix):
@@ -62,6 +63,14 @@ def test_multinomial_row_sums(d, parts):
     assert total == parts**d
 
 
+def identity(n):
+    return ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def transpose(matrix):
+    return ExactMatrix.from_rows([list(c) for c in zip(*matrix.to_rows())])
+
+
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return ExactMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
@@ -77,7 +86,7 @@ def test_determinant_against_permutation_expansion():
 
 
 def test_determinant_identity_and_singular():
-    assert ExactMatrix.identity(4).determinant() == 1
+    assert identity(4).determinant() == 1
     singular = ExactMatrix.from_rows([[1, 2], [2, 4]])
     assert singular.determinant() == 0
     assert singular.rank() == 1
@@ -85,7 +94,7 @@ def test_determinant_identity_and_singular():
 
 def test_rank_small_cases():
     assert ExactMatrix.zeros(3, 2).rank() == 0
-    assert ExactMatrix.identity(3).rank() == 3
+    assert identity(3).rank() == 3
     m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert m.rank() == 2
 
@@ -105,7 +114,7 @@ small_matrices = st.integers(1, 5).flatmap(
 @given(small_matrices)
 def test_rank_equals_transpose_rank(rows):
     m = ExactMatrix.from_rows(rows)
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == transpose(m).rank()
 
 
 @settings(max_examples=80, deadline=None)
@@ -123,6 +132,44 @@ def test_rank_invariant_under_row_permutation(rows, rng):
     shuffled = m.to_rows()
     rng.shuffle(shuffled)
     assert ExactMatrix.from_rows(shuffled).rank() == m.rank()
+
+
+# Entries that are often multiples of the certificate prime, so that the
+# rank mod p drops below the rational rank.
+certificate_entries = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-3, 3).map(lambda k: k * CERTIFICATE_PRIME),
+    st.integers(-(2**40), 2**40),
+)
+certificate_matrices = st.integers(0, 6).flatmap(
+    lambda r: st.integers(0, 6).flatmap(
+        lambda c: st.lists(certificate_entries, min_size=r * c, max_size=r * c).map(
+            lambda entries: ExactMatrix(r, c, tuple(entries))
+        )
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_matrices)
+def test_rank_mod_p_never_exceeds_rank(m):
+    # hence a rank mod p of min(rows, cols) certifies maximal rank
+    assert m.rank_mod_p() <= m.rank() <= min(m.rows, m.cols)
+    assert m.rank_mod_p() == transpose(m).rank_mod_p()
+
+
+def test_rank_mod_p_small_cases():
+    p = CERTIFICATE_PRIME
+    assert ExactMatrix.zeros(0, 3).rank_mod_p() == 0
+    assert ExactMatrix.zeros(3, 0).rank_mod_p() == 0
+    assert identity(4).rank_mod_p() == 4
+    assert ExactMatrix.from_rows([[p, 2 * p], [-p, 5 * p]]).rank_mod_p() == 0
+    assert ExactMatrix.from_rows([[1, 0], [0, p]]).rank_mod_p() == 1
+    assert ExactMatrix.from_rows([[1, 0], [0, p]]).rank() == 2
+    # det = p: singular mod p, regular over the rationals
+    assert ExactMatrix.from_rows([[1, 1], [1, 1 + p]]).rank_mod_p() == 1
+    m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 0, 1]])
+    assert m.rank_mod_p() == m.rank() == 3
 
 
 def test_apply():

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from lefschetz import (
     ExactMatrix,
+    LefschetzReport,
     LinearForm,
     MapFailure,
     Monomial,
     MonomialIdeal,
     QuotientModule,
+    ReportInvariantError,
     Summand,
     TensorCondition,
     check_slp,
@@ -25,6 +27,7 @@ from lefschetz import (
     type_two_slp_conditions,
 )
 import lefschetz.lefschetz as lefschetz_module
+from lefschetz.exact import CERTIFICATE_PRIME
 from lefschetz.monomials import algebra_quotient
 
 
@@ -138,11 +141,12 @@ def test_direct_sum_check_shifted_copies():
 
 def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
     module = algebra_quotient(parse_ideal("x^8, y^8, z^8"))
-    expanded, built, ranks = [], [], []
+    expanded, built, matrices, certified, ranked = [], [], [], [], []
     expansion_power = {}
     power_expansion = LinearForm.power_expansion
     matrix_between = lefschetz_module._matrix_between
     rank = ExactMatrix.rank
+    rank_mod_p = ExactMatrix.rank_mod_p
 
     def spy_expansion(form, d):
         terms = power_expansion(form, d)
@@ -152,19 +156,65 @@ def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
 
     def spy_matrix(source, target, expansion):
         built.append(expansion_power[id(expansion)][0])
-        return matrix_between(source, target, expansion)
+        matrices.append(matrix_between(source, target, expansion))
+        return matrices[-1]
+
+    def spy_rank_mod_p(matrix):
+        certified.append(matrix)
+        return rank_mod_p(matrix)
 
     def spy_rank(matrix):
-        ranks.append(matrix.rows)
+        ranked.append(matrix)
         return rank(matrix)
 
     monkeypatch.setattr(LinearForm, "power_expansion", spy_expansion)
     monkeypatch.setattr(lefschetz_module, "_matrix_between", spy_matrix)
+    monkeypatch.setattr(ExactMatrix, "rank_mod_p", spy_rank_mod_p)
     monkeypatch.setattr(ExactMatrix, "rank", spy_rank)
     assert check_slp(module).holds
-    # one summand: every map the scan builds is ranked, and nothing else is
-    assert len(built) == len(ranks) > 0
+    # one summand: every map the scan builds is ranked, and nothing else is;
+    # exact elimination runs only on maps the certificate leaves open
+    assert len(built) > 0
+    assert [id(m) for m in certified] == [id(m) for m in matrices]
+    assert {id(m) for m in ranked} <= {id(m) for m in matrices}
     assert set(expanded) == set(built)
+
+
+def test_report_invariant_is_an_internal_error():
+    with pytest.raises(ReportInvariantError, match="mirror"):
+        LefschetzReport("WLP", holds=False, failures=(), linear_form=())
+    with pytest.raises(ReportInvariantError):
+        LefschetzReport("SLP", holds=True, failures=(MapFailure(0, 1, 0, 1),), linear_form=())
+    # the CLI reports a RuntimeError as an internal error, not a usage error
+    assert issubclass(ReportInvariantError, RuntimeError)
+    assert not issubclass(ReportInvariantError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "den, form",
+    [("x^2, y^2, z^2", (1, 1, 1)), ("x^2, y^2", (1, 0)), ("x^3, y^3, x*y^2", (1, 1))],
+)
+def test_certificate_prime_multiples_fall_back_to_exact_ranks(monkeypatch, den, form):
+    # Every coefficient of p * form is 0 mod p, so each certificate rank is 0
+    # and every map must be ranked again exactly.
+    module = algebra_quotient(parse_ideal(den))
+    scaled = LinearForm(tuple(CERTIFICATE_PRIME * c for c in form))
+    ranked = []
+    rank = ExactMatrix.rank
+
+    def spy_rank(matrix):
+        ranked.append(matrix)
+        return rank(matrix)
+
+    monkeypatch.setattr(ExactMatrix, "rank", spy_rank)
+    for checker in (check_wlp, check_slp):
+        ranked.clear()
+        report = checker(module, scaled)
+        assert ranked
+        assert all(m.rank_mod_p() == 0 for m in ranked)
+        reference = checker(module, LinearForm(form))
+        assert report.holds == reference.holds
+        assert report.failures == reference.failures
 
 
 def test_direct_sum_slp_coincidence():

@@ -2,7 +2,9 @@
 
 The oracle scan ranks every map (times ell^d): M_i -> M_{i+d}, as the
 scan did before maps implied by a longer injective or surjective map were
-skipped.  It lives only here.
+skipped, by exact elimination only.  It builds each map by adding exponent
+tuples, as the package did before it packed exponents into integers.  Both
+live only here.
 """
 
 import random
@@ -21,12 +23,27 @@ from lefschetz import (
     algebra_quotient,
     direct_sum_check,
     monomials_of_degree,
+    mult_matrix,
     tensor_slp_condition,
     type_two_ideal,
 )
-from lefschetz.lefschetz import _matrix_between
 from lefschetz.series import sum_series
 from lefschetz.sweeps import _tensor_params, _type_two_params
+
+
+def tuple_matrix_between(source, target, expansion):
+    """Matrix of multiplication by an expanded form power, target x source."""
+    index = {m.exponents: i for i, m in enumerate(target)}
+    data = [[0] * len(source) for _ in range(len(target))]
+    for j, u in enumerate(source):
+        for exps, coeff in expansion:
+            w = tuple(a + b for a, b in zip(u.exponents, exps))
+            i = index.get(w)
+            if i is not None:
+                data[i][j] += coeff
+    if not target:
+        return ExactMatrix.zeros(0, len(source))
+    return ExactMatrix.from_rows(data)
 
 
 def unpruned_failures(summands, only_d_one):
@@ -48,7 +65,7 @@ def unpruned_failures(summands, only_d_one):
             if expected == 0:
                 continue
             blocks = [
-                _matrix_between(src, tgt, s.resolved_form().power_expansion(d))
+                tuple_matrix_between(src, tgt, s.resolved_form().power_expansion(d))
                 for s, src, tgt in zip(summands, sources, targets)
             ]
             rank = ExactMatrix.block_diagonal(blocks).rank()
@@ -145,6 +162,47 @@ def test_pruned_scan_matches_oracle_on_sweep_corpora():
         assert_scans_agree([Summand(module)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+    st.booleans(),
+)
+def test_packed_assembly_matches_tuple_reference(nvars, seed, numerator, coeffs, negate):
+    module = random_module(random.Random(seed), nvars)
+    if not numerator:
+        module = QuotientModule(MonomialIdeal.unit(nvars), module.denominator)
+    coeffs = coeffs[:nvars] if any(coeffs[:nvars]) else [1] * nvars
+    form = LinearForm(tuple(-abs(c) for c in coeffs) if negate else tuple(coeffs))
+    top = module.top_degree_bound()
+    # Degrees up to top + 1, so some sources and targets are empty.
+    for i in range(top + 2):
+        for d in range(1, top + 3 - i):
+            packed = mult_matrix(module, form, d, i)
+            reference = tuple_matrix_between(
+                module.degree_basis(i), module.degree_basis(i + d), form.power_expansion(d)
+            )
+            assert packed == reference
+
+
+def test_packed_assembly_handles_empty_bases():
+    # (x)/(x^2, y^2): M_0 is empty, M_2 = <xy>, M_3 is empty
+    module = QuotientModule(
+        MonomialIdeal.from_generators([Monomial((1, 0))]),
+        MonomialIdeal.from_generators([Monomial((2, 0)), Monomial((0, 2))]),
+    )
+    form = LinearForm((-1, 3))
+    for d, i, shape in [(1, 0, (1, 0)), (2, 0, (1, 0)), (1, 2, (0, 1)), (1, 3, (0, 0))]:
+        packed = mult_matrix(module, form, d, i)
+        assert (packed.rows, packed.cols) == shape
+        assert packed == tuple_matrix_between(
+            module.degree_basis(i), module.degree_basis(i + d), form.power_expansion(d)
+        )
+    assert mult_matrix(module, form, 1, 1) == ExactMatrix.from_rows([[3]])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_memoised_basis_matches_filtered_enumeration(data):
@@ -175,14 +233,20 @@ def test_pruned_scan_skips_implied_maps(monkeypatch):
     )
     ranked = []
     rank = ExactMatrix.rank
+    rank_mod_p = ExactMatrix.rank_mod_p
 
     def counting_rank(matrix):
         ranked.append(matrix.rows)
         return rank(matrix)
 
+    def counting_rank_mod_p(matrix):
+        ranked.append(matrix.rows)
+        return rank_mod_p(matrix)
+
     monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
+    monkeypatch.setattr(ExactMatrix, "rank_mod_p", counting_rank_mod_p)
     assert direct_sum_check([Summand(module)], property="SLP").holds
     pruned = len(ranked)
     ranked.clear()
     assert unpruned_failures([Summand(module)], only_d_one=False) == ()
-    assert pruned < len(ranked) // 4
+    assert 0 < pruned < len(ranked) // 4
