@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -437,7 +438,13 @@ def _job_count(text: str) -> int:
     return jobs
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Nothing in it reads the environment: :func:`main` resolves the
+    ``--format`` default on every call.
+    """
     parser = argparse.ArgumentParser(
         prog="lefschetz",
         description="Decide and certify weak/strong Lefschetz properties of "
@@ -447,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format",
         choices=["text", "json"],
-        default=os.environ.get(FORMAT_ENV_VAR, "text"),
+        default=None,
         help=f"output format (default from ${FORMAT_ENV_VAR}, else text)",
     )
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
@@ -533,7 +540,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "runtime_ms": int((time.monotonic() - started) * 1000),
         "version": __version__,
     }
-    if args.format == "json":
+    if (args.format or os.environ.get(FORMAT_ENV_VAR, "text")) == "json":
         # JSON reports must be byte-identical across runs for one input, so
         # the variable timing is zeroed there; the text rendering keeps it.
         report["runtime_ms"] = 0

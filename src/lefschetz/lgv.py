@@ -19,11 +19,19 @@ from .exact import ExactMatrix, binomial
 from .monomials import Monomial, MonomialIdeal
 
 ENUMERATION_CAP = 24
-# Bounds of the caches of pure integer functions below.  The boxes of side
-# at most 6 have 465 (a, b, i, d) quadruples between them, and a path set
-# is keyed by its two endpoints.
+# Bounds of the caches below.  The boxes of side at most 6 have 465
+# (a, b, i, d) quadruples between them, and a path set is keyed by its two
+# endpoints.  Their staircases give 24,766 distinct (a, b, i, ideal) row
+# sets and 4,340 distinct (a, b, i, d, kept rows) pipeline inputs, so a
+# sweep of those boxes never evicts an entry it will ask for again.
 MATRIX_CACHE_SIZE = 4096
 PATH_CACHE_SIZE = 1024
+KEPT_ROWS_CACHE_SIZE = 32768
+PIPELINE_CACHE_SIZE = 8192
+# Path vertices are bits of one integer: (x, y) is bit y * radix - x.  A
+# vertex of a counted path has -cap <= x <= 0 <= y <= cap, so the map is
+# injective there.
+_VERTEX_RADIX = ENUMERATION_CAP + 1
 
 
 class PathSign(Enum):
@@ -92,26 +100,40 @@ def _monotone_paths(
     return tuple(paths)
 
 
+@lru_cache(maxsize=PATH_CACHE_SIZE)
+def _path_masks(start: tuple[int, int], end: tuple[int, int]) -> tuple[int, ...]:
+    """The paths of :func:`_monotone_paths` as vertex bitmasks, same order."""
+    return tuple(
+        sum(1 << (y * _VERTEX_RADIX - x) for x, y in verts)
+        for verts in _monotone_paths(start, end)
+    )
+
+
 def count_nonintersecting(a: Sequence[int], b: Sequence[int]) -> int:
     """Count families of pairwise vertex-disjoint paths, path j from
-    (-b_j, b_j) to (0, a_j), by exhaustive enumeration."""
+    (-b_j, b_j) to (0, a_j), by exhaustive enumeration.
+
+    Every family is visited; two paths are disjoint when their vertex
+    bitmasks share no bit.
+    """
     _validate_sequences(a, b)
     if any(bi < 0 for bi in b):
         raise ValueError("the b-sequence must be nonnegative for path counting")
     if sum(a) > ENUMERATION_CAP:
         raise ValueError(f"total path length exceeds the enumeration cap {ENUMERATION_CAP}")
-    per_path = [_monotone_paths((-bj, bj), (0, aj)) for aj, bj in zip(a, b)]
+    per_path = [_path_masks((-bj, bj), (0, aj)) for aj, bj in zip(a, b)]
+    last = len(per_path) - 1
 
-    def count(j: int, used: frozenset) -> int:
-        if j == len(per_path):
-            return 1
+    def count(j: int, used: int) -> int:
+        if j == last:
+            return sum(1 for mask in per_path[j] if not used & mask)
         total = 0
-        for verts in per_path[j]:
-            if used.isdisjoint(verts):
-                total += count(j + 1, used | verts)
+        for mask in per_path[j]:
+            if not used & mask:
+                total += count(j + 1, used | mask)
         return total
 
-    return count(0, frozenset())
+    return count(0, 0)
 
 
 def _take_rows(matrix: ExactMatrix, kept: Sequence[int]) -> ExactMatrix:
@@ -142,6 +164,21 @@ class PipelineInvariantError(RuntimeError):
     """A structural invariant of the rank-certificate pipeline failed."""
 
 
+def _check_map(a: int, b: int, i: int, d: int) -> None:
+    if a < 1 or b < 1:
+        raise ValueError("box exponents a and b must be at least 1")
+    if d < 1:
+        raise ValueError("power must be at least 1")
+    if not 0 < i or not i + d <= a + b - 2:
+        raise ValueError("degrees must satisfy 0 < i and i + d <= a + b - 2")
+
+
+@lru_cache(maxsize=MATRIX_CACHE_SIZE)
+def _box_monomials(a: int, b: int, i: int) -> tuple[Monomial, ...]:
+    """The degree-i monomials outside (x^a, y^b), x-heavy first."""
+    return tuple(Monomial((i - j, j)) for j in range(i + 1) if i - j < a and j < b)
+
+
 @lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def cl_matrix(a: int, b: int, i: int, d: int) -> LabeledMatrix:
     """Transposed matrix of (times (x+y)^d): [S/J]_i -> [S/J]_{i+d}, J = (x^a, y^b).
@@ -153,31 +190,35 @@ def cl_matrix(a: int, b: int, i: int, d: int) -> LabeledMatrix:
     binomial(d, m-j).  The matrix depends on the box alone, so it is
     computed once per (a, b, i, d) and shared by every ideal in the box.
     """
-    if a < 1 or b < 1:
-        raise ValueError("box exponents a and b must be at least 1")
-    if d < 1:
-        raise ValueError("power must be at least 1")
-    if not 0 < i or not i + d <= a + b - 2:
-        raise ValueError("degrees must satisfy 0 < i and i + d <= a + b - 2")
+    _check_map(a, b, i, d)
     m1 = max(i + d - a + 1, 0)
     m2 = max(i + d - b + 1, 0)
-    row_js = [j for j in range(i + 1) if i - j < a and j < b]
+    row_labels = _box_monomials(a, b, i)
     col_ms = list(range(m1, i + d - m2 + 1))
-    rows = [[binomial(d, m - j) for m in col_ms] for j in row_js]
+    rows = [[binomial(d, m - label.exponents[1]) for m in col_ms] for label in row_labels]
     return LabeledMatrix(
         matrix=ExactMatrix.from_rows(rows),
-        row_labels=tuple(Monomial((i - j, j)) for j in row_js),
+        row_labels=row_labels,
         col_labels=tuple(Monomial((i + d - m, m)) for m in col_ms),
     )
 
 
-def _rows_in_ideal(labeled: LabeledMatrix, ideal: MonomialIdeal) -> list[int]:
-    return [n for n, m in enumerate(labeled.row_labels) if ideal.contains(m)]
+@lru_cache(maxsize=KEPT_ROWS_CACHE_SIZE)
+def kept_rows(a: int, b: int, i: int, ideal: MonomialIdeal) -> tuple[int, ...]:
+    """Indices of the degree-i monomials outside (x^a, y^b) that lie in
+    the ideal, in the row order of every ``cl_matrix(a, b, i, d)``.
+
+    The row labels do not depend on d, so neither do these indices; their
+    count is the dimension of M_i for M = (I + (x^a, y^b))/(x^a, y^b).
+    """
+    return tuple(n for n, m in enumerate(_box_monomials(a, b, i)) if ideal.contains(m))
 
 
 def restrict_rows(labeled: LabeledMatrix, ideal: MonomialIdeal) -> LabeledMatrix:
     """Keep only the rows whose label monomial lies in the ideal."""
-    return labeled.take_rows(_rows_in_ideal(labeled, ideal))
+    return labeled.take_rows(
+        [n for n, m in enumerate(labeled.row_labels) if ideal.contains(m)]
+    )
 
 
 def pascal_column_transform(matrix: ExactMatrix) -> ExactMatrix:
@@ -234,13 +275,26 @@ def run_pipeline(
     """Full certificate chain for (times (x+y)^d): M_i -> M_{i+d},
     M = (I + (x^a, y^b))/(x^a, y^b).
 
+    The ideal enters only through the indices of the rows it keeps, which
+    depend on (a, b, i) and not on d.  The rest of the chain is a pure
+    function of (a, b, i, d, kept rows), computed once per distinct input
+    and shared by every staircase that keeps the same rows.
+    """
+    _check_map(a, b, i, d)
+    return _pipeline_tail(a, b, i, d, kept_rows(a, b, i, ideal))
+
+
+@lru_cache(maxsize=PIPELINE_CACHE_SIZE)
+def _pipeline_tail(a: int, b: int, i: int, d: int, kept: tuple[int, ...]) -> PipelineResult:
+    """The chain after the membership pass, on the rows ``kept``.
+
     The trimmed matrix and its Pascal transform depend on (a, b, i, d)
-    only; the ideal picks which rows survive.  Column operations act on
-    each row alone, so the rows of the cached transform are the transform
-    of the restricted matrix.  Its rank is still found by elimination.
+    only.  Column operations act on each row alone, so the rows of the
+    cached transform are the transform of the restricted matrix.  The
+    offset invariants and the certificate are checked and the rank is
+    found by elimination for every distinct input.
     """
     trimmed = cl_matrix(a, b, i, d)
-    kept = _rows_in_ideal(trimmed, ideal)
     restricted = trimmed.take_rows(kept)
     m1 = max(i + d - a + 1, 0)
     offsets = tuple(m1 - label.exponents[1] for label in restricted.row_labels)

@@ -22,7 +22,7 @@ from .lefschetz import (
     type_two_slp_conditions,
     TensorCondition,
 )
-from .lgv import binomial_matrix, cl_matrix, count_nonintersecting, run_pipeline
+from .lgv import binomial_matrix, count_nonintersecting, kept_rows, run_pipeline
 from .monomials import Monomial, MonomialIdeal, QuotientModule, algebra_quotient
 from .series import is_almost_centered
 
@@ -111,18 +111,15 @@ def sweep_main_theorem(
 def _pipeline_case(args: tuple[int, int, tuple[int, ...]]) -> list[dict]:
     a, b, heights = args
     ideal = staircase_ideal(a, b, heights)
-    # The trimmed column labels depend on the target degree i + d alone.
-    target_dims = {
-        e: sum(1 for m in cl_matrix(a, b, 1, e - 1).col_labels if ideal.contains(m))
-        for e in range(2, a + b - 1)
-    }
+    # dims[e] = dim M_e.  The source degrees share the kept rows of
+    # run_pipeline; the top degree of the box holds x^(a-1) y^(b-1) alone.
+    dims = {e: len(kept_rows(a, b, e, ideal)) for e in range(1, a + b - 2)}
+    dims[a + b - 2] = int(ideal.contains(Monomial((a - 1, b - 1))))
     violations = []
     for i in range(1, a + b - 2):
         for d in range(1, a + b - 2 - i + 1):
             result = run_pipeline(a, b, ideal, i, d)
-            source_dim = result.restricted.matrix.rows
-            target_dim = target_dims[i + d]
-            if source_dim == 0 or target_dim == 0:
+            if dims[i] == 0 or dims[i + d] == 0:
                 continue
             if not result.certificate or not result.maximal:
                 violations.append(

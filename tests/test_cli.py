@@ -309,6 +309,23 @@ def test_format_from_environment(capsys, monkeypatch):
     json.loads(out)
 
 
+def test_format_environment_is_read_on_every_call(capsys, monkeypatch):
+    from lefschetz.cli import build_parser
+
+    argv = ("hilbert", "--num", "1", "--den", "x^2, y^2")
+    monkeypatch.delenv("LEFSCHETZ_OUTPUT", raising=False)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("command: hilbert\n")
+    parser = build_parser()
+    monkeypatch.setenv("LEFSCHETZ_OUTPUT", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["command"] == "hilbert"
+    # the second call reused the parser of the first
+    assert build_parser() is parser
+
+
 def test_short_linear_form_exits_two(capsys):
     code, _, err = run(
         capsys, "check", "wlp", "--num", "1", "--den", "x^2, y^2", "--linear-form", "1"

@@ -20,10 +20,31 @@ from lefschetz import (
     restrict_rows,
     run_pipeline,
 )
+from lefschetz import lgv
 from lefschetz.exact import ExactMatrix
-from lefschetz.lgv import ENUMERATION_CAP, _monotone_paths
+from lefschetz.lgv import ENUMERATION_CAP, _monotone_paths, _path_masks
 from lefschetz.monomials import algebra_quotient
-from lefschetz.sweeps import staircase_ideal, staircase_ideals
+from lefschetz.sweeps import _lgv_sequences, staircase_ideal, staircase_ideals, sweep_pipeline
+
+
+def clear_lgv_caches():
+    for value in vars(lgv).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def frozenset_count_nonintersecting(a, b):
+    """Reference oracle: paths as vertex frozensets, disjoint when they share no vertex."""
+    per_path = [_monotone_paths((-bj, bj), (0, aj)) for aj, bj in zip(a, b)]
+
+    def count(j, used):
+        if j == len(per_path):
+            return 1
+        return sum(
+            count(j + 1, used | verts) for verts in per_path[j] if used.isdisjoint(verts)
+        )
+
+    return count(0, frozenset())
 
 
 ascending = st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True).map(
@@ -66,6 +87,39 @@ def test_positivity_matches_diagonal_test():
 def test_enumeration_cap_enforced():
     with pytest.raises(ValueError):
         count_nonintersecting((25,), (0,))
+
+
+def test_bitmask_oracle_matches_frozenset_oracle():
+    pairs = list(_lgv_sequences(6, 3))
+    assert len(pairs) == 1715
+    for a, b in pairs:
+        assert count_nonintersecting(a, b) == frozenset_count_nonintersecting(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((0, 24), (0, 24)),  # sum(a) at the cap; the corners (0, 0) and (-24, 24)
+        ((24,), (1,)),
+        ((11, 13), (1, 2)),
+        ((3, 4, 5, 12), (0, 1, 2, 3)),
+        ((1, 3), (2, 3)),  # b_0 > a_0: no path joins start 0 to end 0
+        ((2,), (3,)),
+        ((5,), (5,)),  # a single path
+        ((0,), (0,)),
+    ],
+)
+def test_bitmask_oracle_edge_cases(a, b):
+    count = count_nonintersecting(a, b)
+    assert count == frozenset_count_nonintersecting(a, b)
+    assert count == binomial_matrix(a, b).determinant()
+
+
+def test_vertex_bits_are_injective_under_the_cap():
+    box = [(x, y) for x in range(-ENUMERATION_CAP, 1) for y in range(ENUMERATION_CAP + 1)]
+    masks = [_path_masks(v, v) for v in box]
+    assert all(len(m) == 1 and m[0].bit_count() == 1 for m in masks)
+    assert len({m[0] for m in masks}) == len(box)
 
 
 def test_cl_matrix_is_transposed_multiplication():
@@ -156,7 +210,10 @@ def test_rank_certificate_on_binomial_diagonal():
 
 
 def test_run_pipeline_agrees_with_elimination():
-    for a, b in itertools.product(range(1, 5), repeat=2):
+    # Cold caches and boxes in reverse: many results are tails cached for
+    # another staircase that keeps the same rows.
+    clear_lgv_caches()
+    for a, b in reversed(list(itertools.product(range(1, 5), repeat=2))):
         for ideal in staircase_ideals(a, b):
             for i in range(1, a + b - 2):
                 for d in range(1, a + b - 2 - i + 1):
@@ -185,3 +242,47 @@ def test_monotone_paths_are_immutable():
     assert len(paths) == binomial(4, 2)
     assert _monotone_paths((-2, 2), (0, 4)) is paths
     assert _monotone_paths((0, 3), (0, 1)) == ()
+
+
+def test_sweep_ranks_each_distinct_pipeline_input_once(monkeypatch):
+    keys = set()
+    for a in range(2, 5):
+        for b in range(2, 5):
+            for ideal in staircase_ideals(a, b):
+                for i in range(1, a + b - 2):
+                    labels = [Monomial((i - j, j)) for j in range(i + 1) if i - j < a and j < b]
+                    kept = tuple(n for n, m in enumerate(labels) if ideal.contains(m))
+                    for d in range(1, a + b - 1 - i):
+                        keys.add((a, b, i, d, kept))
+    ranked = []
+    rank = ExactMatrix.rank
+
+    def spy(self):
+        ranked.append(self)
+        return rank(self)
+
+    clear_lgv_caches()
+    monkeypatch.setattr(ExactMatrix, "rank", spy)
+    assert sweep_pipeline(amax=4, bmax=4)["ok"]
+    assert len(ranked) == len(keys) == 348
+    # a second sweep finds every tail cached
+    assert sweep_pipeline(amax=4, bmax=4)["ok"]
+    assert len(ranked) == len(keys)
+
+
+def test_run_pipeline_rejects_bad_maps_before_membership(monkeypatch):
+    ideal = staircase_ideal(3, 3, (2, 1, 0))
+    tested = []
+    contains = MonomialIdeal.contains
+
+    def spy(self, m):
+        tested.append(m)
+        return contains(self, m)
+
+    monkeypatch.setattr(MonomialIdeal, "contains", spy)
+    for a, b, i, d in [(3, 3, 2, 3), (3, 3, 0, 1), (3, 3, 1, 0), (0, 3, 1, 1)]:
+        # asked twice, since no cache keeps an exception
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                run_pipeline(a, b, ideal, i, d)
+    assert tested == []
