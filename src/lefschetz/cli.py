@@ -220,7 +220,9 @@ _SWEEPS = {
     ),
     "type2": lambda args: sweeps.sweep_type_two(limit=_limit(args, 5), jobs=args.jobs),
     "tensor": lambda args: sweeps.sweep_tensor(limit=_limit(args, 5), jobs=args.jobs),
-    "lgv-oracle": lambda args: sweeps.sweep_lgv_oracle(jobs=args.jobs),
+    "lgv-oracle": lambda args: sweeps.sweep_lgv_oracle(
+        max_value=_limit(args, 7), jobs=args.jobs
+    ),
     "almost-centered": lambda args: sweeps.sweep_almost_centered_lemma(
         limit=_limit(args, 4), jobs=args.jobs
     ),

@@ -56,6 +56,8 @@ class LinearForm:
     @classmethod
     def random_forms(cls, nvars: int, count: int, seed: int) -> list["LinearForm"]:
         """Seeded random witnesses with coefficients in [1, 100]."""
+        if count < 0:
+            raise ValueError(f"random form count must be nonnegative, got {count}")
         rng = random.Random(seed)
         return [
             cls(tuple(rng.randint(1, 100) for _ in range(nvars)))

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exact import ExactMatrix, binomial
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, divisible_by_any
 
 ENUMERATION_CAP = 24
 # Bounds of the caches below.  The boxes of side at most 6 have 465
@@ -203,7 +203,6 @@ def cl_matrix(a: int, b: int, i: int, d: int) -> LabeledMatrix:
     )
 
 
-@lru_cache(maxsize=KEPT_ROWS_CACHE_SIZE)
 def kept_rows(a: int, b: int, i: int, ideal: MonomialIdeal) -> tuple[int, ...]:
     """Indices of the degree-i monomials outside (x^a, y^b) that lie in
     the ideal, in the row order of every ``cl_matrix(a, b, i, d)``.
@@ -211,7 +210,22 @@ def kept_rows(a: int, b: int, i: int, ideal: MonomialIdeal) -> tuple[int, ...]:
     The row labels do not depend on d, so neither do these indices; their
     count is the dimension of M_i for M = (I + (x^a, y^b))/(x^a, y^b).
     """
-    return tuple(n for n, m in enumerate(_box_monomials(a, b, i)) if ideal.contains(m))
+    if ideal.nvars != 2:
+        raise ValueError("mixed ambient rings")
+    return _kept_rows(a, b, i, ideal.generator_exponents)
+
+
+@lru_cache(maxsize=KEPT_ROWS_CACHE_SIZE)
+def _kept_rows(
+    a: int, b: int, i: int, generators: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """:func:`kept_rows`, cached on the ideal's sorted generator exponents
+    so that the cache holds integers and keeps no ideal alive."""
+    return tuple(
+        n
+        for n, m in enumerate(_box_monomials(a, b, i))
+        if divisible_by_any(m.exponents, generators)
+    )
 
 
 def restrict_rows(labeled: LabeledMatrix, ideal: MonomialIdeal) -> LabeledMatrix:

@@ -7,6 +7,8 @@ lexicographic order on exponent vectors, so x-heavy monomials come first.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,6 +16,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 VARIABLES = ("x", "y", "z", "t")
 MAX_VARIABLES = 4
+# Most cells of the pure-power box (the product of the denominator's
+# pure-power exponents) a module enumerates.  A larger box is refused with a
+# ValueError before any cell is visited.
+MAX_BOX_CELLS = 20_000
 
 
 @dataclass(frozen=True)
@@ -25,7 +31,7 @@ class Monomial:
     def __post_init__(self) -> None:
         if not 1 <= len(self.exponents) <= MAX_VARIABLES:
             raise ValueError(f"ambient variable count must be 1..{MAX_VARIABLES}")
-        if any(e < 0 for e in self.exponents):
+        if min(self.exponents) < 0:
             raise ValueError(f"negative exponent in {self.exponents}")
 
     @property
@@ -136,10 +142,12 @@ class MonomialIdeal:
         for g in self.generators:
             if g.nvars != self.nvars:
                 raise ValueError("generator ambient ring mismatch")
-        for g in self.generators:
-            for h in self.generators:
-                if g is not h and g.divides(h):
-                    raise ValueError("generators are not an antichain; use from_generators")
+        # A proper divisor has a smaller degree, so it comes first.
+        seen: list[tuple[int, ...]] = []
+        for exps in sorted((g.exponents for g in self.generators), key=sum):
+            if divisible_by_any(exps, seen):
+                raise ValueError("generators are not an antichain; use from_generators")
+            seen.append(exps)
 
     @classmethod
     def from_generators(
@@ -153,12 +161,14 @@ class MonomialIdeal:
         sizes = {g.nvars for g in gens}
         if sizes and sizes != {nvars}:
             raise ValueError("mixed ambient ring sizes")
-        minimal: list[Monomial] = []
-        for m in sort_descending(set(gens)):
-            if not any(g.divides(m) for g in minimal):
-                minimal = [g for g in minimal if not m.divides(g)]
-                minimal.append(m)
-        return cls(frozenset(minimal), nvars)
+        # Ascending degree puts every divisor before its multiples, so a
+        # tuple is minimal exactly when no tuple kept before it divides it.
+        by_exponents = {g.exponents: g for g in gens}
+        minimal: list[tuple[int, ...]] = []
+        for exps in sorted(by_exponents, key=sum):
+            if not divisible_by_any(exps, minimal):
+                minimal.append(exps)
+        return cls(frozenset(by_exponents[e] for e in minimal), nvars)
 
     @classmethod
     def zero(cls, nvars: int) -> "MonomialIdeal":
@@ -181,7 +191,9 @@ class MonomialIdeal:
 
     @cached_property
     def generator_exponents(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(g.exponents for g in self.generators)
+        """The minimal generators' exponent vectors, sorted, so equal ideals
+        give equal tuples."""
+        return tuple(sorted(g.exponents for g in self.generators))
 
     def contains(self, m: Monomial) -> bool:
         if m.nvars != self.nvars:
@@ -267,29 +279,61 @@ class QuotientModule:
         return self.numerator.nvars
 
     @cached_property
-    def _bases(self) -> dict[int, tuple[Monomial, ...]]:
-        """Degree -> basis, filled by :meth:`degree_basis` on first request."""
-        return {}
+    def _index(self) -> tuple[list[Optional[int]], dict[int, tuple[Monomial, ...]]]:
+        """The denominator's pure-power caps and the degree -> basis buckets.
+
+        A cap c bounds its variable's exponent by c - 1 (x_v^c is in the
+        denominator); None leaves it unbounded.  When every cap is set (an
+        Artinian denominator) the box is walked once, in descending lex
+        order, and each degree with a nonzero piece gets its bucket, so a
+        degree without one is zero.  Otherwise the buckets start empty and
+        :meth:`degree_basis` fills them one degree at a time.
+        """
+        caps: list[Optional[int]] = [None] * self.nvars
+        walls = []
+        for g in self.denominator.generator_exponents:
+            support = [v for v, e in enumerate(g) if e]
+            if len(support) <= 1:
+                for v in support or range(self.nvars):
+                    caps[v] = g[v]
+            else:
+                walls.append(g)
+        buckets: dict[int, tuple[Monomial, ...]] = {}
+        if None in caps or self.numerator.is_zero:
+            return caps, buckets
+        cells = math.prod(caps)
+        if cells > MAX_BOX_CELLS:
+            raise ValueError(
+                f"the pure-power box of {self} has {cells} cells, "
+                f"over the limit of {MAX_BOX_CELLS}"
+            )
+        # No pure power divides a box cell, so only the other generators
+        # of the denominator are tested.
+        numerator = self.numerator.generator_exponents
+        members: dict[int, list[Monomial]] = {}
+        for exps in itertools.product(*(range(c - 1, -1, -1) for c in caps)):
+            if divisible_by_any(exps, numerator) and not divisible_by_any(exps, walls):
+                members.setdefault(sum(exps), []).append(Monomial(exps))
+        buckets.update((d, tuple(basis)) for d, basis in members.items())
+        return caps, buckets
 
     def degree_basis(self, d: int) -> list[Monomial]:
-        """The degree-d basis in descending lex order, enumerated once per degree.
+        """The degree-d basis in descending lex order, as a fresh list.
 
-        Candidates come from the box cut out by the denominator's pure powers
-        (an exponent at or above one is in the denominator) and are filtered
-        on exponent tuples; only basis members become monomials.
+        With an Artinian denominator it is read from the box index.
+        Otherwise candidates come from the box cut out by the pure powers
+        there are and are filtered on exponent tuples, once per degree.
         """
         if d < 0:
             raise ValueError("degree must be nonnegative")
-        basis = self._bases.get(d)
+        caps, buckets = self._index
+        basis = buckets.get(d)
         if basis is None:
+            if None not in caps:
+                return []
             numerator = self.numerator.generator_exponents
             denominator = self.denominator.generator_exponents
-            caps: list[Optional[int]] = [None] * self.nvars
-            for g in denominator:
-                support = [v for v, e in enumerate(g) if e]
-                if len(support) == 1:
-                    caps[support[0]] = g[support[0]]
-            basis = self._bases[d] = tuple(
+            basis = buckets[d] = tuple(
                 Monomial(exps)
                 for exps in exponents_of_degree(d, caps)
                 if divisible_by_any(exps, numerator)
@@ -309,15 +353,17 @@ class QuotientModule:
         )
 
     def hilbert_series(self) -> "HilbertSeries":
+        """The Hilbert series, read from the bucket sizes of the box index."""
         from .series import HilbertSeries
 
-        if not self.denominator.is_artinian():
+        caps, buckets = self._index
+        if None in caps:
             raise ValueError("denominator must be Artinian")
-        if self.denominator.is_unit or self.numerator.is_zero:
+        if not buckets:
             return HilbertSeries.zero()
-        top = self.top_degree_bound()
-        counts = [self.dimension_in_degree(d) for d in range(top + 1)]
-        return HilbertSeries.from_coefficients(0, counts)
+        return HilbertSeries.from_coefficients(
+            0, [len(buckets.get(d, ())) for d in range(max(buckets) + 1)]
+        )
 
     def socle_degree(self) -> int:
         series = self.hilbert_series()
@@ -326,7 +372,14 @@ class QuotientModule:
         return series.end
 
     def tensor_truncation(self, c: int) -> "QuotientModule":
-        """The module tensored with k[t]/(t^c), t a fresh ambient variable."""
+        """The module tensored with k[t]/(t^c), t a fresh ambient variable.
+
+        Neither extended ideal involves t and t^c is the only new
+        generator, so the degree-e basis is every m * t^j with j < c and m
+        in the degree-(e - j) basis of this module.  When this module has
+        a box index, the new module's index is built from it that way,
+        without enumerating or testing membership again.
+        """
         if c < 1:
             raise ValueError("truncation exponent must be at least 1")
         nvars = self.nvars + 1
@@ -336,7 +389,26 @@ class QuotientModule:
         den = self.denominator.extended(nvars) + MonomialIdeal.from_generators(
             [variable_power(nvars, nvars - 1, c)]
         )
-        return QuotientModule(num, den)
+        module = QuotientModule(num, den)
+        caps, buckets = self._index
+        if None in caps or not buckets or math.prod(caps) * c > MAX_BOX_CELLS:
+            # The new module builds (or refuses) its own index on first use.
+            return module
+        derived = {}
+        for e in range(max(buckets) + c):
+            exps = sorted(
+                (
+                    m.exponents + (j,)
+                    for j in range(min(c, e + 1))
+                    for m in buckets.get(e - j, ())
+                ),
+                reverse=True,
+            )
+            if exps:
+                derived[e] = tuple(map(Monomial, exps))
+        # Seed the cached index of the new module.
+        object.__setattr__(module, "_index", (caps + [c], derived))
+        return module
 
     def __str__(self) -> str:
         return f"({self.numerator})/({self.denominator})"

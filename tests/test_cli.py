@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -347,6 +348,36 @@ def test_empty_sweep_exits_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert "empty corpus" in err
+
+
+def test_lgv_oracle_sweep_reads_limit(capsys):
+    code, out, _ = run(capsys, "sweep", "lgv-oracle", "--limit", "2", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["limit"] == 2
+    # pairs of m-subsets of {0, 1, 2}, m = 1..3: sum of C(3, m)^2
+    assert report["result"]["cases"] == 9 + 9 + 1
+    assert report["result"]["ok"] is True
+
+
+def test_negative_random_form_count_exits_two(capsys):
+    code, out, err = run(
+        capsys, "check", "slp", "--num", "1", "--den", "x^2, y^2", "--random-forms", "-3"
+    )
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
+def test_oversized_box_exits_two_quickly(capsys):
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "check", "slp", "--num", "1", "--den", "x^40, y^40, z^40, t^40"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert "2560000 cells" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])

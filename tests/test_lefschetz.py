@@ -81,6 +81,9 @@ def test_random_forms_are_seeded():
     b = LinearForm.random_forms(3, 4, seed=11)
     assert a == b
     assert all(1 <= c <= 100 for f in a for c in f.coefficients)
+    assert LinearForm.random_forms(3, 0, seed=11) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        LinearForm.random_forms(3, -3, seed=11)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lefschetz import (
+    HilbertSeries,
     Monomial,
     MonomialIdeal,
     ParseError,
@@ -12,7 +15,12 @@ from lefschetz import (
     parse_monomial,
     variable_power,
 )
-from lefschetz.monomials import algebra_quotient
+from lefschetz.monomials import (
+    MAX_BOX_CELLS,
+    algebra_quotient,
+    exponents_of_degree,
+    sort_descending,
+)
 
 
 def test_monomial_basics():
@@ -199,3 +207,111 @@ def test_quotient_dimensions_additive(alpha, beta, a, b):
             module.dimension_in_degree(d) + residue.dimension_in_degree(d)
             == ambient.dimension_in_degree(d)
         )
+
+
+# --- the box index against per-degree references ---------------------------
+
+
+def reference_basis(module, d):
+    """The degree-d basis by filtering every degree-d exponent vector."""
+    return [
+        Monomial(exps)
+        for exps in exponents_of_degree(d, (None,) * module.nvars)
+        if module.numerator.contains(Monomial(exps))
+        and not module.denominator.contains(Monomial(exps))
+    ]
+
+
+def reference_from_generators(gens, nvars):
+    """Minimalisation on Monomial objects, largest first, as the package once did it."""
+    minimal = []
+    for m in sort_descending(set(gens)):
+        if not any(g.divides(m) for g in minimal):
+            minimal = [g for g in minimal if not m.divides(g)]
+            minimal.append(m)
+    return MonomialIdeal(frozenset(minimal), nvars)
+
+
+@st.composite
+def artinian_modules(draw, max_vars=4):
+    """(I + J)/J with J Artinian in 1..max_vars variables, I unit or drawn."""
+    nvars = draw(st.integers(1, max_vars))
+    caps = draw(st.lists(st.integers(1, 4), min_size=nvars, max_size=nvars))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars).map(Monomial)
+    den = [variable_power(nvars, v, c) for v, c in enumerate(caps)]
+    den += draw(st.lists(exps, max_size=3))
+    num = draw(st.lists(exps, max_size=3))
+    numerator = (
+        MonomialIdeal.from_generators(num, nvars) if num else MonomialIdeal.unit(nvars)
+    )
+    return QuotientModule(numerator, MonomialIdeal.from_generators(den, nvars))
+
+
+@settings(max_examples=120, deadline=None)
+@given(artinian_modules())
+def test_box_index_matches_per_degree_reference(module):
+    top = module.top_degree_bound()
+    coeffs = []
+    for d in range(top + 2):
+        basis = module.degree_basis(d)
+        assert basis == reference_basis(module, d)
+        coeffs.append(len(basis))
+    assert module.hilbert_series() == HilbertSeries.from_coefficients(0, coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(artinian_modules(max_vars=3))
+def test_tensor_index_matches_fresh_module(module):
+    for c in range(1, 6):
+        derived = module.tensor_truncation(c)
+        fresh = QuotientModule(derived.numerator, derived.denominator)
+        top = fresh.top_degree_bound()
+        for d in range(top + 2):
+            assert derived.degree_basis(d) == fresh.degree_basis(d)
+        assert derived.hilbert_series() == fresh.hilbert_series()
+        assert derived.hilbert_series() == module.hilbert_series().times_truncation(c)
+
+
+def test_from_generators_matches_monomial_reference():
+    rng = random.Random(7)
+    for _ in range(400):
+        nvars = rng.randint(1, 4)
+        gens = [
+            Monomial(tuple(rng.randint(0, 3) for _ in range(nvars)))
+            for _ in range(rng.randint(1, 8))
+        ]
+        gens += rng.sample(gens, rng.randint(0, len(gens)))  # duplicates
+        if rng.random() < 0.1:
+            gens.append(Monomial((0,) * nvars))
+        rng.shuffle(gens)
+        ideal = MonomialIdeal.from_generators(gens, nvars)
+        assert ideal == reference_from_generators(gens, nvars)
+
+
+def test_non_antichain_generators_are_refused():
+    for gens in (
+        [Monomial((1, 0)), Monomial((2, 1))],
+        [Monomial((0, 0, 0)), Monomial((0, 0, 5))],
+        [Monomial((3, 0)), Monomial((0, 2)), Monomial((1, 1)), Monomial((1, 3))],
+    ):
+        with pytest.raises(ValueError, match="antichain"):
+            MonomialIdeal(frozenset(gens), len(gens[0].exponents))
+
+
+def test_oversized_box_is_refused_before_enumeration():
+    side = 12
+    assert side**4 > MAX_BOX_CELLS
+    module = algebra_quotient(
+        MonomialIdeal.from_generators([variable_power(4, v, side) for v in range(4)])
+    )
+    for call in (module.hilbert_series, lambda: module.degree_basis(3)):
+        with pytest.raises(ValueError, match=f"{side**4} cells.*{MAX_BOX_CELLS}"):
+            call()
+    # A derived truncation is refused the same way once its box is too large.
+    square = algebra_quotient(parse_ideal("x^100, y^100"))
+    assert square.hilbert_series().total_dimension() == 100**2
+    with pytest.raises(ValueError, match="cells"):
+        square.tensor_truncation(3).hilbert_series()
+    # The zero module needs no enumeration.
+    zero = QuotientModule(MonomialIdeal.zero(4), module.denominator)
+    assert zero.hilbert_series().is_zero
