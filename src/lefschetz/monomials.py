@@ -200,26 +200,31 @@ class MonomialIdeal:
             raise ValueError("mixed ambient rings")
         return divisible_by_any(m.exponents, self.generator_exponents)
 
+    @cached_property
+    def pure_power_caps(self) -> tuple[Optional[int], ...]:
+        """Per variable, the least j with x_v^j in the ideal, or None.
+
+        A minimal generator with at most one variable in its support is a
+        pure power; the unit ideal gives every variable the cap 0.
+        """
+        caps: list[Optional[int]] = [None] * self.nvars
+        for g in self.generator_exponents:
+            support = [v for v, e in enumerate(g) if e]
+            if len(support) <= 1:
+                for v in support or range(self.nvars):
+                    caps[v] = g[v]
+        return tuple(caps)
+
     def is_artinian(self) -> bool:
         """Whether the ideal contains a pure power of every variable."""
-        for v in range(self.nvars):
-            if not any(
-                all(e == 0 for i, e in enumerate(g.exponents) if i != v)
-                for g in self.generators
-            ):
-                return False
-        return True
+        return None not in self.pure_power_caps
 
     def pure_power_exponent(self, v: int) -> int:
         """The least j with x_v^j in the ideal; raises if there is none."""
-        candidates = [
-            g.exponents[v]
-            for g in self.generators
-            if all(e == 0 for i, e in enumerate(g.exponents) if i != v)
-        ]
-        if not candidates:
+        caps = self.pure_power_caps
+        if not 0 <= v < self.nvars or caps[v] is None:
             raise ValueError(f"no pure power of variable {v} in the ideal")
-        return min(candidates)
+        return caps[v]
 
     def colon_variable_power(self, v: int, j: int) -> "MonomialIdeal":
         """The colon ideal (I : x_v^j), by per-generator exponent subtraction."""
@@ -279,28 +284,20 @@ class QuotientModule:
         return self.numerator.nvars
 
     @cached_property
-    def _index(self) -> tuple[list[Optional[int]], dict[int, tuple[Monomial, ...]]]:
-        """The denominator's pure-power caps and the degree -> basis buckets.
+    def _index(self) -> dict[int, tuple[Monomial, ...]]:
+        """The degree -> basis buckets.
 
-        A cap c bounds its variable's exponent by c - 1 (x_v^c is in the
-        denominator); None leaves it unbounded.  When every cap is set (an
-        Artinian denominator) the box is walked once, in descending lex
-        order, and each degree with a nonzero piece gets its bucket, so a
-        degree without one is zero.  Otherwise the buckets start empty and
-        :meth:`degree_basis` fills them one degree at a time.
+        With an Artinian denominator the box of its pure-power caps (x_v^c
+        in the denominator bounds the exponent of x_v by c - 1) is walked
+        once, in descending lex order, and each degree with a nonzero piece
+        gets its bucket, so a degree without one is zero.  Otherwise the
+        buckets start empty and :meth:`degree_basis` fills them one degree
+        at a time.
         """
-        caps: list[Optional[int]] = [None] * self.nvars
-        walls = []
-        for g in self.denominator.generator_exponents:
-            support = [v for v, e in enumerate(g) if e]
-            if len(support) <= 1:
-                for v in support or range(self.nvars):
-                    caps[v] = g[v]
-            else:
-                walls.append(g)
+        caps = self.denominator.pure_power_caps
         buckets: dict[int, tuple[Monomial, ...]] = {}
         if None in caps or self.numerator.is_zero:
-            return caps, buckets
+            return buckets
         cells = math.prod(caps)
         if cells > MAX_BOX_CELLS:
             raise ValueError(
@@ -310,12 +307,17 @@ class QuotientModule:
         # No pure power divides a box cell, so only the other generators
         # of the denominator are tested.
         numerator = self.numerator.generator_exponents
+        walls = [
+            g
+            for g in self.denominator.generator_exponents
+            if sum(1 for e in g if e) > 1
+        ]
         members: dict[int, list[Monomial]] = {}
         for exps in itertools.product(*(range(c - 1, -1, -1) for c in caps)):
             if divisible_by_any(exps, numerator) and not divisible_by_any(exps, walls):
                 members.setdefault(sum(exps), []).append(Monomial(exps))
         buckets.update((d, tuple(basis)) for d, basis in members.items())
-        return caps, buckets
+        return buckets
 
     def degree_basis(self, d: int) -> list[Monomial]:
         """The degree-d basis in descending lex order, as a fresh list.
@@ -326,9 +328,10 @@ class QuotientModule:
         """
         if d < 0:
             raise ValueError("degree must be nonnegative")
-        caps, buckets = self._index
+        buckets = self._index
         basis = buckets.get(d)
         if basis is None:
+            caps = self.denominator.pure_power_caps
             if None not in caps:
                 return []
             numerator = self.numerator.generator_exponents
@@ -346,19 +349,18 @@ class QuotientModule:
 
     def top_degree_bound(self) -> int:
         """Largest degree that can carry a nonzero graded piece."""
-        if not self.denominator.is_artinian():
+        caps = self.denominator.pure_power_caps
+        if None in caps:
             raise ValueError("denominator must be Artinian")
-        return sum(
-            self.denominator.pure_power_exponent(v) - 1 for v in range(self.nvars)
-        )
+        return sum(c - 1 for c in caps)
 
     def hilbert_series(self) -> "HilbertSeries":
         """The Hilbert series, read from the bucket sizes of the box index."""
         from .series import HilbertSeries
 
-        caps, buckets = self._index
-        if None in caps:
+        if not self.denominator.is_artinian():
             raise ValueError("denominator must be Artinian")
+        buckets = self._index
         if not buckets:
             return HilbertSeries.zero()
         return HilbertSeries.from_coefficients(
@@ -376,9 +378,7 @@ class QuotientModule:
 
         Neither extended ideal involves t and t^c is the only new
         generator, so the degree-e basis is every m * t^j with j < c and m
-        in the degree-(e - j) basis of this module.  When this module has
-        a box index, the new module's index is built from it that way,
-        without enumerating or testing membership again.
+        in the degree-(e - j) basis of this module.
         """
         if c < 1:
             raise ValueError("truncation exponent must be at least 1")
@@ -389,26 +389,7 @@ class QuotientModule:
         den = self.denominator.extended(nvars) + MonomialIdeal.from_generators(
             [variable_power(nvars, nvars - 1, c)]
         )
-        module = QuotientModule(num, den)
-        caps, buckets = self._index
-        if None in caps or not buckets or math.prod(caps) * c > MAX_BOX_CELLS:
-            # The new module builds (or refuses) its own index on first use.
-            return module
-        derived = {}
-        for e in range(max(buckets) + c):
-            exps = sorted(
-                (
-                    m.exponents + (j,)
-                    for j in range(min(c, e + 1))
-                    for m in buckets.get(e - j, ())
-                ),
-                reverse=True,
-            )
-            if exps:
-                derived[e] = tuple(map(Monomial, exps))
-        # Seed the cached index of the new module.
-        object.__setattr__(module, "_index", (caps + [c], derived))
-        return module
+        return QuotientModule(num, den)
 
     def __str__(self) -> str:
         return f"({self.numerator})/({self.denominator})"

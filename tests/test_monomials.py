@@ -261,15 +261,39 @@ def test_box_index_matches_per_degree_reference(module):
 
 @settings(max_examples=40, deadline=None)
 @given(artinian_modules(max_vars=3))
-def test_tensor_index_matches_fresh_module(module):
+def test_tensor_truncation_basis_is_the_product_basis(module):
+    # Neither extended ideal involves t, so the degree-e basis of M (x) k[t]/(t^c)
+    # is every m * t^j with j < c and m in M_(e - j), in descending lex order.
+    top = module.top_degree_bound()
     for c in range(1, 6):
-        derived = module.tensor_truncation(c)
-        fresh = QuotientModule(derived.numerator, derived.denominator)
-        top = fresh.top_degree_bound()
-        for d in range(top + 2):
-            assert derived.degree_basis(d) == fresh.degree_basis(d)
-        assert derived.hilbert_series() == fresh.hilbert_series()
-        assert derived.hilbert_series() == module.hilbert_series().times_truncation(c)
+        tensored = module.tensor_truncation(c)
+        for e in range(top + c + 1):
+            product = sorted(
+                (
+                    m.exponents + (j,)
+                    for j in range(min(c, e + 1))
+                    for m in module.degree_basis(e - j)
+                ),
+                reverse=True,
+            )
+            assert tensored.degree_basis(e) == [Monomial(exps) for exps in product]
+        assert tensored.hilbert_series() == module.hilbert_series().times_truncation(c)
+
+
+def test_pure_power_caps_decide_artinian_and_top_degree():
+    ideal = parse_ideal("x^2, x*y, y^3")
+    assert ideal.pure_power_caps == (2, 3)
+    assert algebra_quotient(ideal).top_degree_bound() == 3
+    partial = parse_ideal("x^2, x*y", nvars=2)
+    assert partial.pure_power_caps == (2, None)
+    assert not partial.is_artinian()
+    for v in (1, 2, -1):
+        with pytest.raises(ValueError, match="no pure power"):
+            partial.pure_power_exponent(v)
+    with pytest.raises(ValueError, match="Artinian"):
+        algebra_quotient(partial).top_degree_bound()
+    assert MonomialIdeal.unit(3).pure_power_caps == (0, 0, 0)
+    assert MonomialIdeal.zero(2).pure_power_caps == (None, None)
 
 
 def test_from_generators_matches_monomial_reference():
@@ -307,7 +331,7 @@ def test_oversized_box_is_refused_before_enumeration():
     for call in (module.hilbert_series, lambda: module.degree_basis(3)):
         with pytest.raises(ValueError, match=f"{side**4} cells.*{MAX_BOX_CELLS}"):
             call()
-    # A derived truncation is refused the same way once its box is too large.
+    # A truncation is refused the same way once its box is too large.
     square = algebra_quotient(parse_ideal("x^100, y^100"))
     assert square.hilbert_series().total_dimension() == 100**2
     with pytest.raises(ValueError, match="cells"):
