@@ -97,6 +97,13 @@ class ExactMatrix:
         Every minor that vanishes over the integers vanishes mod p, so this
         is never above :meth:`rank`; when it reaches min(rows, cols) the
         matrix has maximal rank over the rationals.
+
+        Gaussian elimination along the shorter side, pivoting on the first
+        line with a nonzero entry in the current column.  A pivot updates a
+        line only in the slots right of the column where the pivot itself
+        is nonzero: every other slot would subtract zero, and the column
+        slot is never read again, because the pivot search only moves
+        right.  The pivots, and so the rank, are those of the dense update.
         """
         p = CERTIFICATE_PRIME
         rows, cols = self.rows, self.cols
@@ -117,13 +124,17 @@ class ExactMatrix:
                 continue
             pivot = lines.pop(k)
             inverse = pow(pivot[col], -1, p)
-            tail = [e * inverse % p for e in pivot[col:]]
+            # (slot, normalised entry) for the pivot's nonzeros right of col
+            tail = [
+                (n, e * inverse % p)
+                for n, e in enumerate(pivot[col + 1 :], col + 1)
+                if e
+            ]
             for line in lines:
                 factor = line[col]
                 if factor:
-                    line[col:] = [
-                        (a - factor * b) % p for a, b in zip(line[col:], tail)
-                    ]
+                    for n, e in tail:
+                        line[n] = (line[n] - factor * e) % p
             rank += 1
             if not lines:
                 break

@@ -215,6 +215,8 @@ def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailur
     if series.is_zero:
         return ()
     p, q = series.start, series.end
+    # dims[k] = h_(p+k); the scan reads only degrees in [p, q].
+    dims = series.coeffs
     max_d = 1 if only_d_one else q - p
     # Longest verified injective map out of each degree, surjective map onto it.
     injective_from: dict[int, int] = {}
@@ -222,7 +224,7 @@ def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailur
     failures = []
     for d in range(max_d, 0, -1):
         for i in range(p, q - d + 1):
-            dim_source, dim_target = series.coefficient(i), series.coefficient(i + d)
+            dim_source, dim_target = dims[i - p], dims[i + d - p]
             expected = min(dim_source, dim_target)
             if expected == 0:
                 continue

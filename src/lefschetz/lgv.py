@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import lt
 from typing import Sequence
 
 from .exact import ExactMatrix, binomial
@@ -42,11 +43,10 @@ class PathSign(Enum):
 def _validate_sequences(a: Sequence[int], b: Sequence[int]) -> None:
     if len(a) != len(b) or not a:
         raise ValueError("sequences must have equal positive length")
-    if any(x >= y for x, y in zip(a, a[1:])) or any(
-        x >= y for x, y in zip(b, b[1:])
-    ):
+    if not (all(map(lt, a, a[1:])) and all(map(lt, b, b[1:]))):
         raise ValueError("sequences must be strictly ascending")
-    if any(x < 0 for x in a):
+    # a is ascending, so its first entry is its least
+    if a[0] < 0:
         raise ValueError("the a-sequence must be nonnegative")
 
 

@@ -45,10 +45,20 @@ def _staircase_heights(a: int, b: int) -> Iterator[tuple[int, ...]]:
 
 
 def staircase_ideal(a: int, b: int, heights: tuple[int, ...]) -> MonomialIdeal:
-    """The ideal whose complement has the given non-increasing column heights."""
-    gens = [Monomial((i, h)) for i, h in enumerate(heights)]
-    gens.append(Monomial((a, 0)))
-    return MonomialIdeal.from_generators(gens, nvars=2)
+    """The ideal whose complement has the given non-increasing column heights.
+
+    The minimal generators are the corners of the staircase: x^i y^(h_i)
+    where the height drops (or i = 0), and x^a unless the last column is
+    already empty.
+    """
+    gens = {
+        Monomial((i, h))
+        for i, h in enumerate(heights)
+        if i == 0 or h < heights[i - 1]
+    }
+    if not heights or heights[-1]:
+        gens.add(Monomial((a, 0)))
+    return MonomialIdeal(frozenset(gens), 2)
 
 
 def _run(

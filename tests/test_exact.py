@@ -5,8 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lefschetz import ExactMatrix, binomial, multinomial
+from lefschetz import (
+    ExactMatrix,
+    binomial,
+    check_slp,
+    multinomial,
+    parse_ideal,
+)
 from lefschetz.exact import CERTIFICATE_PRIME
+from lefschetz.monomials import algebra_quotient
 
 
 def permanent_style_determinant(matrix):
@@ -156,6 +163,86 @@ def test_rank_mod_p_never_exceeds_rank(m):
     # hence a rank mod p of min(rows, cols) certifies maximal rank
     assert m.rank_mod_p() <= m.rank() <= min(m.rows, m.cols)
     assert m.rank_mod_p() == transpose(m).rank_mod_p()
+
+
+def dense_rank_mod_p(matrix):
+    """Reference: elimination mod p that rewrites each line's whole dense tail."""
+    p = CERTIFICATE_PRIME
+    rows, cols = matrix.rows, matrix.cols
+    residues = [e % p for e in matrix.entries]
+    if rows > cols:
+        lines = [residues[j::cols] for j in range(cols)]
+        width = rows
+    else:
+        lines = [residues[k * cols : (k + 1) * cols] for k in range(rows)]
+        width = cols
+    rank = 0
+    for col in range(width):
+        for k, line in enumerate(lines):
+            if line[col]:
+                break
+        else:
+            continue
+        pivot = lines.pop(k)
+        inverse = pow(pivot[col], -1, p)
+        tail = [e * inverse % p for e in pivot[col:]]
+        for line in lines:
+            factor = line[col]
+            if factor:
+                line[col:] = [(a - factor * b) % p for a, b in zip(line[col:], tail)]
+        rank += 1
+        if not lines:
+            break
+    return rank
+
+
+# Mostly zero entries, many of them multiples of the certificate prime, as
+# in the scan's multiplication maps.
+sparse_entries = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.just(0),
+    st.integers(-3, 3).map(lambda k: k * CERTIFICATE_PRIME),
+    st.integers(-5, 5),
+    st.integers(-(2**20), 2**20),
+)
+sparse_matrices = st.integers(0, 12).flatmap(
+    lambda r: st.integers(0, 12).flatmap(
+        lambda c: st.lists(sparse_entries, min_size=r * c, max_size=r * c).map(
+            lambda entries: ExactMatrix(r, c, tuple(entries))
+        )
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices)
+def test_rank_mod_p_matches_dense_elimination(m):
+    assert m.rank_mod_p() == dense_rank_mod_p(m)
+
+
+def test_rank_mod_p_matches_dense_elimination_on_scanned_maps(monkeypatch):
+    ranked = []
+    kernel = ExactMatrix.rank_mod_p
+
+    def recording(matrix):
+        ranked.append(matrix)
+        return kernel(matrix)
+
+    monkeypatch.setattr(ExactMatrix, "rank_mod_p", recording)
+    modules = [
+        algebra_quotient(parse_ideal(f"x^{n}, y^{n}, z^{n}")) for n in range(3, 7)
+    ]
+    # a corner-cut box in four variables, as in the check_large workload
+    modules.append(
+        algebra_quotient(parse_ideal("x^4, y^4, z^4, t^3, x^3*y^3, y^3*z^3"))
+    )
+    for module in modules:
+        check_slp(module)
+    monkeypatch.undo()
+    assert ranked
+    for m in ranked:
+        assert m.rank_mod_p() == dense_rank_mod_p(m)
 
 
 def test_rank_mod_p_small_cases():

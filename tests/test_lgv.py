@@ -58,14 +58,22 @@ def test_binomial_matrix_values():
 
 
 def test_validation_rejects_bad_sequences():
-    with pytest.raises(ValueError):
-        binomial_matrix((2, 1), (0, 1))
-    with pytest.raises(ValueError):
-        binomial_matrix((1, 2), (0,))
-    with pytest.raises(ValueError):
-        binomial_matrix((), ())
-    with pytest.raises(ValueError):
-        binomial_matrix((-1, 2), (0, 1))
+    # each public entry point validates on its own, with the same messages
+    for check in (binomial_matrix, count_nonintersecting, lgv_positivity):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            check((2, 1), (0, 1))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            check((1, 2), (1, 1))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            check((1, 2, 2), (0, 1, 2))
+        with pytest.raises(ValueError, match="equal positive length"):
+            check((1, 2), (0,))
+        with pytest.raises(ValueError, match="equal positive length"):
+            check((), ())
+        with pytest.raises(ValueError, match="a-sequence must be nonnegative"):
+            check((-1, 2), (0, 1))
+        with pytest.raises(ValueError, match="a-sequence must be nonnegative"):
+            check((-1,), (0,))
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 
 from lefschetz import Monomial, MonomialIdeal
 from lefschetz.sweeps import (
+    _staircase_heights,
     algebra_corpus,
     staircase_ideal,
     staircase_ideals,
@@ -35,6 +36,18 @@ def test_staircase_ideal_generators():
     assert ideal == MonomialIdeal.from_generators(
         [Monomial((0, 2)), Monomial((1, 1)), Monomial((3, 0))]
     )
+
+
+def test_staircase_ideal_equals_minimalised_heights():
+    # every staircase of every box up to 6 x 6, against minimalising all
+    # a + 1 candidate generators
+    for a in range(0, 7):
+        for b in range(0, 7):
+            for heights in _staircase_heights(a, b):
+                gens = [Monomial((i, h)) for i, h in enumerate(heights)]
+                gens.append(Monomial((a, 0)))
+                expected = MonomialIdeal.from_generators(gens, nvars=2)
+                assert staircase_ideal(a, b, heights) == expected
 
 
 def test_small_sweeps_are_clean():
