@@ -33,7 +33,6 @@ from .lgv import (
     lgv_positivity,
     lgv_rank_certificate,
     pascal_column_transform,
-    restrict_rows,
     run_pipeline,
 )
 from .monomials import (

@@ -73,40 +73,28 @@ def lgv_positivity(a: Sequence[int], b: Sequence[int]) -> PathSign:
 
 
 @lru_cache(maxsize=PATH_CACHE_SIZE)
-def _monotone_paths(
-    start: tuple[int, int], end: tuple[int, int]
-) -> tuple[frozenset, ...]:
-    """All East/North lattice paths between two points, as vertex sets.
-
-    Cached per endpoint pair; the result is a tuple so no caller can
-    change a cached value.
-    """
-    east = end[0] - start[0]
-    north = end[1] - start[1]
-    if east < 0 or north < 0:
-        return ()
-    paths: list[frozenset] = []
-
-    def walk(x: int, y: int, visited: list[tuple[int, int]]) -> None:
-        if (x, y) == end:
-            paths.append(frozenset(visited))
-            return
-        if x < end[0]:
-            walk(x + 1, y, visited + [(x + 1, y)])
-        if y < end[1]:
-            walk(x, y + 1, visited + [(x, y + 1)])
-
-    walk(start[0], start[1], [start])
-    return tuple(paths)
-
-
-@lru_cache(maxsize=PATH_CACHE_SIZE)
 def _path_masks(start: tuple[int, int], end: tuple[int, int]) -> tuple[int, ...]:
-    """The paths of :func:`_monotone_paths` as vertex bitmasks, same order."""
-    return tuple(
-        sum(1 << (y * _VERTEX_RADIX - x) for x, y in verts)
-        for verts in _monotone_paths(start, end)
-    )
+    """All East/North lattice paths between two points, as vertex bitmasks.
+
+    East steps are tried before North ones.  Cached per endpoint pair; the
+    result is a tuple so no caller can change a cached value.
+    """
+    end_x, end_y = end
+    if end_x < start[0] or end_y < start[1]:
+        return ()
+    masks: list[int] = []
+
+    def walk(x: int, y: int, mask: int) -> None:
+        if x == end_x and y == end_y:
+            masks.append(mask)
+            return
+        if x < end_x:
+            walk(x + 1, y, mask | 1 << (y * _VERTEX_RADIX - (x + 1)))
+        if y < end_y:
+            walk(x, y + 1, mask | 1 << ((y + 1) * _VERTEX_RADIX - x))
+
+    walk(start[0], start[1], 1 << (start[1] * _VERTEX_RADIX - start[0]))
+    return tuple(masks)
 
 
 def count_nonintersecting(a: Sequence[int], b: Sequence[int]) -> int:
@@ -225,13 +213,6 @@ def _kept_rows(
         n
         for n, m in enumerate(_box_monomials(a, b, i))
         if divisible_by_any(m.exponents, generators)
-    )
-
-
-def restrict_rows(labeled: LabeledMatrix, ideal: MonomialIdeal) -> LabeledMatrix:
-    """Keep only the rows whose label monomial lies in the ideal."""
-    return labeled.take_rows(
-        [n for n, m in enumerate(labeled.row_labels) if ideal.contains(m)]
     )
 
 

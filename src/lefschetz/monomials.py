@@ -12,7 +12,9 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
+
+from .series import HilbertSeries
 
 VARIABLES = ("x", "y", "z", "t")
 MAX_VARIABLES = 4
@@ -77,31 +79,19 @@ def variable_power(nvars: int, v: int, e: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-def exponents_of_degree(
-    d: int, caps: Sequence[Optional[int]]
-) -> Iterator[tuple[int, ...]]:
-    """Degree-d exponent vectors, one slot per cap, in descending lex order.
-
-    A cap c bounds its slot's exponent by c - 1; None leaves it unbounded.
-    """
-
-    def rec(remaining: int, slot: int) -> Iterator[tuple[int, ...]]:
-        cap = caps[slot]
-        if slot == len(caps) - 1:
-            if cap is None or remaining < cap:
-                yield (remaining,)
-            return
-        top = remaining if cap is None else min(remaining, cap - 1)
-        for e in range(top, -1, -1):
-            for rest in rec(remaining - e, slot + 1):
+def exponents_of_degree(d: int, nvars: int) -> Iterator[tuple[int, ...]]:
+    """Degree-d exponent vectors with nvars slots, in descending lex order."""
+    if nvars == 1:
+        yield (d,)
+    elif nvars > 1:
+        for e in range(d, -1, -1):
+            for rest in exponents_of_degree(d - e, nvars - 1):
                 yield (e,) + rest
-
-    return rec(d, 0)
 
 
 def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
     """All degree-d monomials in nvars variables, in descending lex order."""
-    for exps in exponents_of_degree(d, (None,) * nvars):
+    for exps in exponents_of_degree(d, nvars):
         yield Monomial(exps)
 
 
@@ -139,6 +129,8 @@ class MonomialIdeal:
     nvars: int
 
     def __post_init__(self) -> None:
+        if not 1 <= self.nvars <= MAX_VARIABLES:
+            raise ValueError(f"ambient variable count must be 1..{MAX_VARIABLES}")
         for g in self.generators:
             if g.nvars != self.nvars:
                 raise ValueError("generator ambient ring mismatch")
@@ -267,9 +259,9 @@ class MonomialIdeal:
 class QuotientModule:
     """The graded module (I + J)/J for monomial ideals I, J in one ring.
 
-    Its degree-d basis is the set of degree-d monomials lying in I but not
-    in J.  When J is Artinian every graded piece is finite and the module
-    vanishes above the socle degree of S/J.
+    The denominator J must be Artinian, so every graded piece is finite and
+    the module vanishes above the socle degree of S/J.  Its degree-d basis
+    is the set of degree-d monomials lying in I but not in J.
     """
 
     numerator: MonomialIdeal
@@ -278,6 +270,8 @@ class QuotientModule:
     def __post_init__(self) -> None:
         if self.numerator.nvars != self.denominator.nvars:
             raise ValueError("numerator and denominator live in different rings")
+        if not self.denominator.is_artinian():
+            raise ValueError("denominator must be Artinian")
 
     @property
     def nvars(self) -> int:
@@ -285,19 +279,16 @@ class QuotientModule:
 
     @cached_property
     def _index(self) -> dict[int, tuple[Monomial, ...]]:
-        """The degree -> basis buckets.
+        """The degree -> basis buckets, built once and never changed.
 
-        With an Artinian denominator the box of its pure-power caps (x_v^c
-        in the denominator bounds the exponent of x_v by c - 1) is walked
-        once, in descending lex order, and each degree with a nonzero piece
-        gets its bucket, so a degree without one is zero.  Otherwise the
-        buckets start empty and :meth:`degree_basis` fills them one degree
-        at a time.
+        The box of the denominator's pure-power caps (x_v^c in the
+        denominator bounds the exponent of x_v by c - 1) is walked once, in
+        descending lex order, and each degree with a nonzero piece gets its
+        bucket, so a degree without one is zero.
         """
+        if self.numerator.is_zero:
+            return {}
         caps = self.denominator.pure_power_caps
-        buckets: dict[int, tuple[Monomial, ...]] = {}
-        if None in caps or self.numerator.is_zero:
-            return buckets
         cells = math.prod(caps)
         if cells > MAX_BOX_CELLS:
             raise ValueError(
@@ -316,50 +307,23 @@ class QuotientModule:
         for exps in itertools.product(*(range(c - 1, -1, -1) for c in caps)):
             if divisible_by_any(exps, numerator) and not divisible_by_any(exps, walls):
                 members.setdefault(sum(exps), []).append(Monomial(exps))
-        buckets.update((d, tuple(basis)) for d, basis in members.items())
-        return buckets
+        return {d: tuple(basis) for d, basis in members.items()}
 
     def degree_basis(self, d: int) -> list[Monomial]:
-        """The degree-d basis in descending lex order, as a fresh list.
-
-        With an Artinian denominator it is read from the box index.
-        Otherwise candidates come from the box cut out by the pure powers
-        there are and are filtered on exponent tuples, once per degree.
-        """
+        """The degree-d basis in descending lex order, as a fresh list."""
         if d < 0:
             raise ValueError("degree must be nonnegative")
-        buckets = self._index
-        basis = buckets.get(d)
-        if basis is None:
-            caps = self.denominator.pure_power_caps
-            if None not in caps:
-                return []
-            numerator = self.numerator.generator_exponents
-            denominator = self.denominator.generator_exponents
-            basis = buckets[d] = tuple(
-                Monomial(exps)
-                for exps in exponents_of_degree(d, caps)
-                if divisible_by_any(exps, numerator)
-                and not divisible_by_any(exps, denominator)
-            )
-        return list(basis)
+        return list(self._index.get(d, ()))
 
     def dimension_in_degree(self, d: int) -> int:
         return len(self.degree_basis(d))
 
     def top_degree_bound(self) -> int:
         """Largest degree that can carry a nonzero graded piece."""
-        caps = self.denominator.pure_power_caps
-        if None in caps:
-            raise ValueError("denominator must be Artinian")
-        return sum(c - 1 for c in caps)
+        return sum(c - 1 for c in self.denominator.pure_power_caps)
 
-    def hilbert_series(self) -> "HilbertSeries":
+    def hilbert_series(self) -> HilbertSeries:
         """The Hilbert series, read from the bucket sizes of the box index."""
-        from .series import HilbertSeries
-
-        if not self.denominator.is_artinian():
-            raise ValueError("denominator must be Artinian")
         buckets = self._index
         if not buckets:
             return HilbertSeries.zero()

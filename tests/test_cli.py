@@ -360,6 +360,22 @@ def test_lgv_oracle_sweep_reads_limit(capsys):
     assert report["result"]["ok"] is True
 
 
+@pytest.mark.parametrize("argv", [("hilbert",), ("check", "slp")])
+def test_non_artinian_denominator_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv, "--num", "1", "--den", "x^2, x*y")
+    assert code == 2
+    assert out == ""
+    assert err == "error: denominator must be Artinian\n"
+
+
+@pytest.mark.parametrize("nvars", ["-1", "0", "5"])
+def test_ambient_variable_count_out_of_range_exits_two(capsys, nvars):
+    code, out, err = run(capsys, "hilbert", "--num", "0", "--den", "0", "--vars", nvars)
+    assert code == 2
+    assert out == ""
+    assert err == "error: ambient variable count must be 1..4\n"
+
+
 def test_negative_random_form_count_exits_two(capsys):
     code, out, err = run(
         capsys, "check", "slp", "--num", "1", "--den", "x^2, y^2", "--random-forms", "-3"

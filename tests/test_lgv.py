@@ -17,12 +17,11 @@ from lefschetz import (
     lgv_rank_certificate,
     mult_matrix,
     pascal_column_transform,
-    restrict_rows,
     run_pipeline,
 )
 from lefschetz import lgv
 from lefschetz.exact import ExactMatrix
-from lefschetz.lgv import ENUMERATION_CAP, _monotone_paths, _path_masks
+from lefschetz.lgv import ENUMERATION_CAP, _VERTEX_RADIX, _path_masks
 from lefschetz.monomials import algebra_quotient
 from lefschetz.sweeps import _lgv_sequences, staircase_ideal, staircase_ideals, sweep_pipeline
 
@@ -33,9 +32,36 @@ def clear_lgv_caches():
             value.cache_clear()
 
 
+def monotone_paths(start, end):
+    """All East/North lattice paths between two points, as vertex frozensets,
+    East steps before North ones."""
+    if end[0] < start[0] or end[1] < start[1]:
+        return ()
+    paths = []
+
+    def walk(x, y, visited):
+        if (x, y) == end:
+            paths.append(frozenset(visited))
+            return
+        if x < end[0]:
+            walk(x + 1, y, visited + [(x + 1, y)])
+        if y < end[1]:
+            walk(x, y + 1, visited + [(x, y + 1)])
+
+    walk(start[0], start[1], [start])
+    return tuple(paths)
+
+
+def restrict_rows(labeled, ideal):
+    """Step-by-step reference: keep the rows whose label monomial lies in the ideal."""
+    return labeled.take_rows(
+        [n for n, m in enumerate(labeled.row_labels) if ideal.contains(m)]
+    )
+
+
 def frozenset_count_nonintersecting(a, b):
     """Reference oracle: paths as vertex frozensets, disjoint when they share no vertex."""
-    per_path = [_monotone_paths((-bj, bj), (0, aj)) for aj, bj in zip(a, b)]
+    per_path = [monotone_paths((-bj, bj), (0, aj)) for aj, bj in zip(a, b)]
 
     def count(j, used):
         if j == len(per_path):
@@ -245,11 +271,20 @@ def test_run_pipeline_agrees_with_elimination():
 
 
 def test_monotone_paths_are_immutable():
-    paths = _monotone_paths((-2, 2), (0, 4))
-    assert isinstance(paths, tuple)
-    assert len(paths) == binomial(4, 2)
-    assert _monotone_paths((-2, 2), (0, 4)) is paths
-    assert _monotone_paths((0, 3), (0, 1)) == ()
+    masks = _path_masks((-2, 2), (0, 4))
+    assert isinstance(masks, tuple)
+    assert len(masks) == binomial(4, 2)
+    assert _path_masks((-2, 2), (0, 4)) is masks
+    assert _path_masks((0, 3), (0, 1)) == ()
+    assert _path_masks((0, 0), (-1, 2)) == ()
+    # The bitmask walk and the frozenset walk give the same paths, in order.
+    for start, end in [((-2, 2), (0, 4)), ((0, 0), (0, 3)), ((-3, 0), (0, 0)),
+                       ((-4, 4), (0, 6)), ((-1, 1), (-1, 1))]:
+        bits = tuple(
+            sum(1 << (y * _VERTEX_RADIX - x) for x, y in verts)
+            for verts in monotone_paths(start, end)
+        )
+        assert _path_masks(start, end) == bits
 
 
 def test_sweep_ranks_each_distinct_pipeline_input_once(monkeypatch):

@@ -216,7 +216,7 @@ def reference_basis(module, d):
     """The degree-d basis by filtering every degree-d exponent vector."""
     return [
         Monomial(exps)
-        for exps in exponents_of_degree(d, (None,) * module.nvars)
+        for exps in exponents_of_degree(d, module.nvars)
         if module.numerator.contains(Monomial(exps))
         and not module.denominator.contains(Monomial(exps))
     ]
@@ -294,6 +294,19 @@ def test_pure_power_caps_decide_artinian_and_top_degree():
         algebra_quotient(partial).top_degree_bound()
     assert MonomialIdeal.unit(3).pure_power_caps == (0, 0, 0)
     assert MonomialIdeal.zero(2).pure_power_caps == (None, None)
+
+
+@pytest.mark.parametrize("den", [parse_ideal("x^2, x*y", nvars=2), MonomialIdeal.zero(2)])
+def test_non_artinian_denominator_is_refused_at_construction(den):
+    with pytest.raises(ValueError, match="Artinian"):
+        QuotientModule(MonomialIdeal.unit(2), den)
+
+
+@pytest.mark.parametrize("nvars", [-3, 0, 5])
+def test_ideal_ambient_variable_count_is_checked(nvars):
+    # An ideal without generators has no monomial to check its ring size.
+    with pytest.raises(ValueError, match=r"ambient variable count must be 1\.\.4"):
+        MonomialIdeal.zero(nvars)
 
 
 def test_from_generators_matches_monomial_reference():

@@ -26,6 +26,7 @@ from lefschetz import (
     mult_matrix,
     tensor_slp_condition,
     type_two_ideal,
+    variable_power,
 )
 from lefschetz.series import sum_series
 from lefschetz.sweeps import _tensor_params, _type_two_params
@@ -209,14 +210,15 @@ def test_memoised_basis_matches_filtered_enumeration(data):
     nvars = data.draw(st.integers(1, 3))
     exps = st.tuples(*[st.integers(0, 3)] * nvars).map(Monomial)
     num = data.draw(st.lists(exps, max_size=3))
-    # Denominators need not be Artinian: the basis is defined in every degree.
-    den = data.draw(st.lists(exps, max_size=4))
+    caps = data.draw(st.lists(st.integers(1, 4), min_size=nvars, max_size=nvars))
+    den = [variable_power(nvars, v, c) for v, c in enumerate(caps)]
+    den += data.draw(st.lists(exps, max_size=3))
     module = QuotientModule(
         MonomialIdeal.from_generators(num, nvars) if num else MonomialIdeal.unit(nvars),
         MonomialIdeal.from_generators(den, nvars),
     )
     for d in range(8):
-        # The first call fills the memo, the second reads it.
+        # The first call builds the index, the second reads it.
         assert module.degree_basis(d) == filtered_basis(module, d)
         assert module.degree_basis(d) == filtered_basis(module, d)
 
