@@ -264,16 +264,167 @@ def direct_sum_check(
     )
 
 
-def check_wlp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
-    """Scan every (times ell): M_i -> M_{i+1} for maximal rank."""
+def _components(module: QuotientModule) -> list[tuple[int, ...]]:
+    """The variable classes a tensor split of the module keeps apart.
+
+    The variables of each denominator generator are joined, and so are all
+    variables of the numerator, so the numerator lives in one class.  A
+    pure power joins nothing and is skipped.  A class and a support are
+    bitmasks over the variables.
+    """
+    nvars = module.nvars
+    bits = [1 << v for v in range(nvars)]
+    numerator = 0
+    for g in module.numerator.generator_exponents:
+        numerator |= sum(map(mul, map(bool, g), bits))
+    supports = [numerator] + [
+        sum(map(mul, map(bool, g), bits))
+        for g in module.denominator.generator_exponents
+        if g.count(0) < nvars - 1
+    ]
+    classes = bits
+    for support in supports:
+        joined = [c for c in classes if c & support]
+        if len(joined) > 1:
+            classes = [c for c in classes if not c & support] + [sum(joined)]
+            if len(classes) == 1:
+                return [tuple(range(nvars))]
+    return sorted(tuple(v for v in range(nvars) if c >> v & 1) for c in classes)
+
+
+def _restricted(ideal: MonomialIdeal, variables: tuple[int, ...]) -> MonomialIdeal:
+    """The generators supported on ``variables``, as an ideal in those variables."""
+    return MonomialIdeal(
+        frozenset(
+            Monomial(tuple(g[v] for v in variables))
+            for g in ideal.generator_exponents
+            if all(e == 0 or v in variables for v, e in enumerate(g))
+        ),
+        len(variables),
+    )
+
+
+def _clebsch_gordan(left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
+    """Jordan type of l_A + l_B on M_A (x) M_B from those of l_A and l_B.
+
+    In characteristic 0, J_m (x) J_n = J_(m+n-1) + J_(m+n-3) + ... +
+    J_(|m-n|+1), one block per pair of blocks and step.
+    """
+    return tuple(
+        sorted(
+            (m + n - 1 - 2 * k for m in left for n in right for k in range(min(m, n))),
+            reverse=True,
+        )
+    )
+
+
+def _scanned_jordan_type(module: QuotientModule, ell: LinearForm) -> tuple[int, ...]:
+    """Jordan type of (times ell) from the ranks of one pruned SLP scan.
+
+    A map the scan skips or passes has rank min(h_i, h_(i+d)) and a failing
+    map carries its exact rank, so the rank r_d of ell^d on the whole module
+    is known for every d.  The number of blocks of size s is
+    r_(s-1) - 2 r_s + r_(s+1).
+    """
+    h = module.hilbert_series().coeffs
+    ranks = [sum(h)] + [sum(map(min, h, h[d:])) for d in range(1, len(h))] + [0, 0]
+    for failure in _scan_maps([Summand(module, form=ell)], only_d_one=False):
+        ranks[failure.d] -= failure.expected - failure.rank
+    return tuple(
+        s
+        for s in range(len(h), 0, -1)
+        for _ in range(ranks[s - 1] - 2 * ranks[s] + ranks[s + 1])
+    )
+
+
+def _split_jordan_type(
+    module: QuotientModule, ell: LinearForm
+) -> Optional[tuple[tuple[int, ...], HilbertSeries]]:
+    """Jordan type and series of a tensor-split module, read from its factors.
+
+    A module whose variable classes (see :func:`_components`) are apart is
+    the tensor product of one module per class, and ell acts on it as the
+    sum of its restrictions.  The Jordan type is the Clebsch-Gordan product
+    of the factors' and the series is the product of theirs, so the product
+    box is never walked.  A one-variable factor k[x_v]/(x_v^c) is the single
+    block (c) with series 1 + ... + t^(c-1).  None when the module is zero,
+    has one class, or ell vanishes on some class.
+    """
+    caps = module.denominator.pure_power_caps
+    # Only the unit ideal has a cap of 0, and it makes the module zero.
+    if module.numerator.is_zero or 0 in caps:
+        return None
+    module.refuse_large_box()
+    components = _components(module)
+    if len(components) == 1:
+        return None
+    forms = [tuple(ell.coefficients[v] for v in c) for c in components]
+    if not all(any(f) for f in forms):
+        return None
+    blocks: tuple[int, ...] = (1,)
+    series = HilbertSeries(0, (1,))
+    for variables, coefficients in zip(components, forms):
+        numerator = _restricted(module.numerator, variables)
+        if numerator.is_zero:
+            # The numerator lives in another class, so this factor is an algebra.
+            numerator = MonomialIdeal.unit(len(variables))
+        if len(variables) == 1 and numerator.is_unit:
+            c = caps[variables[0]]
+            factor_blocks, factor_series = (c,), HilbertSeries(0, (1,) * c)
+        else:
+            factor = QuotientModule(numerator, _restricted(module.denominator, variables))
+            factor_blocks = _scanned_jordan_type(factor, LinearForm(coefficients))
+            factor_series = factor.hilbert_series()
+        blocks = _clebsch_gordan(blocks, factor_blocks)
+        series = series * factor_series
+    return blocks, series
+
+
+def jordan_type(module: QuotientModule, form: Optional[LinearForm] = None) -> tuple[int, ...]:
+    """Jordan type of (times form) on the module: its block sizes, descending.
+
+    The form defaults to the all-ones form.  A tensor-split module is read
+    from its factors by Clebsch-Gordan, any other from one pruned scan.
+    """
+    ell = Summand(module, form=form).resolved_form()
+    split = _split_jordan_type(module, ell)
+    return split[0] if split is not None else _scanned_jordan_type(module, ell)
+
+
+def _decide(module: QuotientModule, ell: Optional[LinearForm], property: str) -> LefschetzReport:
+    """The maximal-rank verdict, from the factors when the module splits.
+
+    ell^d has maximal rank in every degree iff its rank on the whole module,
+    the sum over blocks of max(0, s - d), equals the sum over i of
+    min(h_i, h_(i+d)).  A split module that meets this for every required d
+    passes without a scan.  Any other module, and a split one predicted to
+    fail, is scanned, so every failure is exact and in scan order.
+    """
     ell = ell or LinearForm.all_ones(module.nvars)
-    return direct_sum_check([Summand(module, form=ell)], property="WLP")
+    summand = Summand(module, form=ell)
+    split = _split_jordan_type(module, ell)
+    if split is not None:
+        blocks, series = split
+        h = series.coeffs
+        powers = range(1, 2 if property == "WLP" else len(h))
+        if all(
+            sum(s - d for s in blocks if s > d) == sum(map(min, h, h[d:]))
+            for d in powers
+        ):
+            return LefschetzReport(
+                property=property, holds=True, failures=(), linear_form=(ell,)
+            )
+    return direct_sum_check([summand], property=property)
+
+
+def check_wlp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
+    """Decide that every (times ell): M_i -> M_{i+1} has maximal rank."""
+    return _decide(module, ell, "WLP")
 
 
 def check_slp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
-    """Scan every power map (times ell^d): M_i -> M_{i+d} for maximal rank."""
-    ell = ell or LinearForm.all_ones(module.nvars)
-    return direct_sum_check([Summand(module, form=ell)], property="SLP")
+    """Decide that every power map (times ell^d): M_i -> M_{i+d} has maximal rank."""
+    return _decide(module, ell, "SLP")
 
 
 def direct_sum_slp(

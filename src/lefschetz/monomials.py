@@ -277,6 +277,15 @@ class QuotientModule:
     def nvars(self) -> int:
         return self.numerator.nvars
 
+    def refuse_large_box(self) -> None:
+        """Raise ValueError when the pure-power box is over MAX_BOX_CELLS."""
+        cells = math.prod(self.denominator.pure_power_caps)
+        if cells > MAX_BOX_CELLS:
+            raise ValueError(
+                f"the pure-power box of {self} has {cells} cells, "
+                f"over the limit of {MAX_BOX_CELLS}"
+            )
+
     @cached_property
     def _index(self) -> dict[int, tuple[Monomial, ...]]:
         """The degree -> basis buckets, built once and never changed.
@@ -288,13 +297,8 @@ class QuotientModule:
         """
         if self.numerator.is_zero:
             return {}
+        self.refuse_large_box()
         caps = self.denominator.pure_power_caps
-        cells = math.prod(caps)
-        if cells > MAX_BOX_CELLS:
-            raise ValueError(
-                f"the pure-power box of {self} has {cells} cells, "
-                f"over the limit of {MAX_BOX_CELLS}"
-            )
         # No pure power divides a box cell, so only the other generators
         # of the denominator are tested.
         numerator = self.numerator.generator_exponents

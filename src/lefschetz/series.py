@@ -70,13 +70,17 @@ class HilbertSeries:
         """The series multiplied by 1 + t + ... + t^(c-1)."""
         if c < 1:
             raise ValueError("truncation length must be at least 1")
-        if self.is_zero:
-            return self
-        out = [0] * (len(self.coeffs) + c - 1)
+        return self * HilbertSeries(0, (1,) * c)
+
+    def __mul__(self, other: "HilbertSeries") -> "HilbertSeries":
+        """The product series, which is the series of a tensor product."""
+        if self.is_zero or other.is_zero:
+            return HilbertSeries.zero()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, h in enumerate(self.coeffs):
-            for j in range(c):
-                out[i + j] += h
-        return HilbertSeries(self.start, tuple(out))
+            for j, g in enumerate(other.coeffs):
+                out[i + j] += h * g
+        return HilbertSeries(self.start + other.start, tuple(out))
 
     def __add__(self, other: "HilbertSeries") -> "HilbertSeries":
         if self.is_zero:

@@ -20,6 +20,7 @@ from lefschetz import (
     csm_slp_criterion,
     direct_sum_check,
     direct_sum_slp,
+    jordan_type,
     mult_matrix,
     parse_ideal,
     tensor_slp_condition,
@@ -174,13 +175,33 @@ def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
     monkeypatch.setattr(lefschetz_module, "_matrix_between", spy_matrix)
     monkeypatch.setattr(ExactMatrix, "rank_mod_p", spy_rank_mod_p)
     monkeypatch.setattr(ExactMatrix, "rank", spy_rank)
-    assert check_slp(module).holds
+    # check_slp decides this split module from its factors without a map,
+    # so the scan is called directly
+    assert direct_sum_check([Summand(module)], property="SLP").holds
     # one summand: every map the scan builds is ranked, and nothing else is;
     # exact elimination runs only on maps the certificate leaves open
     assert len(built) > 0
     assert [id(m) for m in certified] == [id(m) for m in matrices]
     assert {id(m) for m in ranked} <= {id(m) for m in matrices}
     assert set(expanded) == set(built)
+
+
+def test_split_complete_intersection_builds_no_matrix(monkeypatch):
+    module = algebra_quotient(parse_ideal("x^8, y^8, z^8"))
+
+    def no_matrix(*args):
+        raise AssertionError("a split module was scanned")
+
+    monkeypatch.setattr(lefschetz_module, "_matrix_between", no_matrix)
+    monkeypatch.setattr(ExactMatrix, "rank", no_matrix)
+    monkeypatch.setattr(ExactMatrix, "rank_mod_p", no_matrix)
+    assert check_slp(module).holds
+    assert check_wlp(module).holds
+    blocks = jordan_type(module)
+    assert sum(blocks) == 8**3 and blocks[0] == 22
+    assert blocks == jordan_type(module, LinearForm((1, -2, 3)))
+    # the product box was never walked
+    assert "_index" not in vars(module)
 
 
 def test_report_invariant_is_an_internal_error():
@@ -210,9 +231,11 @@ def test_certificate_prime_multiples_fall_back_to_exact_ranks(monkeypatch, den, 
         return rank(matrix)
 
     monkeypatch.setattr(ExactMatrix, "rank", spy_rank)
-    for checker in (check_wlp, check_slp):
+    # check_slp reads S/(x^2, y^2, z^2) from its one-variable factors and
+    # ranks nothing, so the scan is called directly
+    for prop, checker in (("WLP", check_wlp), ("SLP", check_slp)):
         ranked.clear()
-        report = checker(module, scaled)
+        report = direct_sum_check([Summand(module, form=scaled)], property=prop)
         assert ranked
         assert all(m.rank_mod_p() == 0 for m in ranked)
         reference = checker(module, LinearForm(form))

@@ -1,4 +1,4 @@
-"""The pruned Lefschetz scan and the memoised basis against direct oracles.
+"""The pruned scan, the tensor split and the memoised basis against oracles.
 
 The oracle scan ranks every map (times ell^d): M_i -> M_{i+d}, as the
 scan did before maps implied by a longer injective or surjective map were
@@ -21,15 +21,24 @@ from lefschetz import (
     Summand,
     TensorCondition,
     algebra_quotient,
+    check_slp,
+    check_wlp,
     direct_sum_check,
+    jordan_type,
     monomials_of_degree,
     mult_matrix,
     tensor_slp_condition,
     type_two_ideal,
     variable_power,
 )
+from lefschetz.lefschetz import _split_jordan_type
 from lefschetz.series import sum_series
-from lefschetz.sweeps import _tensor_params, _type_two_params
+from lefschetz.sweeps import (
+    _tensor_params,
+    _type_two_params,
+    algebra_corpus,
+    two_variable_corpus,
+)
 
 
 def tuple_matrix_between(source, target, expansion):
@@ -73,6 +82,22 @@ def unpruned_failures(summands, only_d_one):
             if rank != expected:
                 failures.append(MapFailure(i=i, d=d, rank=rank, expected=expected))
     return tuple(failures)
+
+
+def unpruned_jordan_type(module, form):
+    """Block sizes of (times form), from the unpruned scan's exact ranks.
+
+    A map the oracle passes has rank min(h_i, h_(i+d)); the rank r_d of
+    ell^d on the module sums over i, r_(s-1) - r_s blocks have size at
+    least s, and the partition is the conjugate of those counts.
+    """
+    h = module.hilbert_series().coeffs
+    ranks = [sum(h)] + [sum(min(a, b) for a, b in zip(h, h[d:])) for d in range(1, len(h) + 1)]
+    for failure in unpruned_failures([Summand(module, form=form)], only_d_one=False):
+        ranks[failure.d] -= failure.expected - failure.rank
+    at_least = [ranks[s - 1] - ranks[s] for s in range(1, len(h) + 1)]
+    blocks = at_least[0] if at_least else 0
+    return tuple(sum(1 for count in at_least if count >= j) for j in range(1, blocks + 1))
 
 
 def filtered_basis(module, d):
@@ -252,3 +277,84 @@ def test_pruned_scan_skips_implied_maps(monkeypatch):
     ranked.clear()
     assert unpruned_failures([Summand(module)], only_d_one=False) == ()
     assert 0 < pruned < len(ranked) // 4
+
+
+def split_module(rng, nvars):
+    """A module that is a tensor product over at least two variable classes.
+
+    Each class gets its own box and mixed generators, and the numerator
+    lives in one class, so no generator joins two classes.
+    """
+    labels = [0, 1] + [rng.randint(0, 2) for _ in range(nvars - 2)]
+    rng.shuffle(labels)
+    classes = [[v for v in range(nvars) if labels[v] == k] for k in set(labels)]
+    box = [rng.randint(1, 4 if nvars < 4 else 3) for _ in range(nvars)]
+    den = [variable_power(nvars, v, box[v]) for v in range(nvars)]
+    for variables in classes:
+        for _ in range(rng.randint(0, 2) if len(variables) > 1 else 0):
+            exps = [rng.randint(1, box[v]) if v in variables else 0 for v in range(nvars)]
+            den.append(Monomial(tuple(exps)))
+    home = rng.choice(classes)
+    num = [
+        Monomial(tuple(rng.randint(0, 2) if v in home else 0 for v in range(nvars)))
+        for _ in range(rng.randint(0, 2))
+    ]
+    numerator = MonomialIdeal.from_generators(num, nvars) if num else MonomialIdeal.unit(nvars)
+    return QuotientModule(numerator, MonomialIdeal.from_generators(den, nvars)), classes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["ones", "signed", "partial", "zero"]),
+)
+def test_split_decision_matches_scan(nvars, seed, kind):
+    rng = random.Random(seed)
+    module, classes = split_module(rng, nvars)
+    coeffs = [1] * nvars if kind == "ones" else [rng.choice([-2, -1, 1, 2]) for _ in range(nvars)]
+    if kind == "partial":
+        # zero on one variable of a class, so that factor often fails and
+        # the split predicts a failure
+        coeffs[rng.choice(max(classes, key=len))] = 0
+    if kind == "zero":
+        # zero on a whole class, which leaves the module to the scan
+        for v in rng.choice(classes):
+            coeffs[v] = 0
+    form = LinearForm(tuple(coeffs))
+    for prop, checker in (("WLP", check_wlp), ("SLP", check_slp)):
+        assert checker(module, form) == direct_sum_check([Summand(module, form=form)], prop)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.booleans())
+def test_jordan_type_matches_every_ranked_map(nvars, seed, split):
+    rng = random.Random(seed)
+    module = split_module(rng, nvars)[0] if split else random_module(rng, min(nvars, 3))
+    form = random_form(rng, module.nvars)
+    assert jordan_type(module, form) == unpruned_jordan_type(module, form)
+
+
+def test_split_decision_matches_scan_on_lemma_corpora():
+    tensored = []
+    for alpha, beta, a, b in _tensor_params(3):
+        numerator = MonomialIdeal.from_generators([Monomial((alpha, 0)), Monomial((0, beta))])
+        box = MonomialIdeal.from_generators([Monomial((a, 0)), Monomial((0, b))])
+        tensored.append((QuotientModule(numerator, box), a + b))
+    for module in [*two_variable_corpus(2), *algebra_corpus(3)]:
+        tensored.append((module, module.socle_degree() + 2))
+    cases = split_failing = 0
+    for module, bound in tensored:
+        forms = [LinearForm.all_ones(module.nvars + 1), LinearForm((2, -1, 3)[-module.nvars - 1:])]
+        for c in range(1, bound + 1):
+            truncation = module.tensor_truncation(c)
+            for form in forms[: 1 + c % 2]:
+                for prop, checker in (("WLP", check_wlp), ("SLP", check_slp)):
+                    report = checker(truncation, form)
+                    summand = Summand(truncation, form=form)
+                    assert report == direct_sum_check([summand], prop)
+                    cases += 1
+                    split = _split_jordan_type(truncation, form) is not None
+                    split_failing += split and not report.holds
+    # some split modules are predicted to fail and fall back to the scan
+    assert cases > 1000 and split_failing

@@ -71,6 +71,17 @@ def test_times_truncation_is_window_sum(start, coeffs, c):
         assert prod.coefficient(d) == sum(s.coefficient(d - j) for j in range(c))
 
 
+@given(st.integers(0, 4), coeff_lists, st.integers(0, 4), coeff_lists)
+def test_product_is_convolution(s1, c1, s2, c2):
+    a, b = series(s1, c1), series(s2, c2)
+    prod = a * b
+    assert prod == b * a
+    for d in range(0, 24):
+        assert prod.coefficient(d) == sum(
+            a.coefficient(j) * b.coefficient(d - j) for j in range(d + 1)
+        )
+
+
 def test_sum_series():
     parts = [series(0, [1]), series(2, [1, 1]), HilbertSeries.zero()]
     assert sum_series(parts).coeffs == (1, 0, 1, 1)
