@@ -17,7 +17,6 @@ from .lefschetz import (
     csm_slp_criterion,
     direct_sum_check,
     direct_sum_slp,
-    jordan_type,
     mult_matrix,
     tensor_slp_condition,
     type_two_ideal,

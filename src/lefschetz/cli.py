@@ -21,7 +21,6 @@ from .lefschetz import (
     csm_decompose,
     csm_slp_criterion,
     direct_sum_check,
-    jordan_type,
     mult_matrix,
     type_two_slp_conditions,
 )
@@ -130,14 +129,6 @@ def _run_check(args) -> tuple[dict, int]:
             break
     payload = _report_dict(report)
     payload["module"] = str(module)
-    if args.explain:
-        # Under a strong Lefschetz form the Jordan type is the conjugate of
-        # the Hilbert function: part k counts the degrees with h_i >= k.
-        h = module.hilbert_series().coeffs
-        payload["jordan_type"] = list(jordan_type(module, report.linear_form[0]))
-        payload["hilbert_conjugate"] = [
-            sum(1 for dim in h if dim >= k) for k in range(1, max(h, default=0) + 1)
-        ]
     return {"result": payload, "failures": payload["failures"]}, 0
 
 
@@ -485,13 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--linear-form", default=None, help="comma-separated coefficients")
     check.add_argument("--random-forms", type=int, default=0)
     check.add_argument("--seed", type=int, default=0)
-    # default None keeps the flag out of the report's inputs when absent
-    check.add_argument(
-        "--explain",
-        action="store_true",
-        default=None,
-        help="add the Jordan type of the form and the conjugate Hilbert function",
-    )
     check.set_defaults(handler=_run_check)
 
     csm = sub.add_parser("csm", help="central simple module decomposition")

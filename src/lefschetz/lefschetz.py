@@ -380,25 +380,20 @@ def _split_jordan_type(
     return blocks, series
 
 
-def jordan_type(module: QuotientModule, form: Optional[LinearForm] = None) -> tuple[int, ...]:
-    """Jordan type of (times form) on the module: its block sizes, descending.
-
-    The form defaults to the all-ones form.  A tensor-split module is read
-    from its factors by Clebsch-Gordan, any other from one pruned scan.
-    """
-    ell = Summand(module, form=form).resolved_form()
-    split = _split_jordan_type(module, ell)
-    return split[0] if split is not None else _scanned_jordan_type(module, ell)
+def check_wlp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
+    """Scan every (times ell): M_i -> M_{i+1} for maximal rank."""
+    ell = ell or LinearForm.all_ones(module.nvars)
+    return direct_sum_check([Summand(module, form=ell)], property="WLP")
 
 
-def _decide(module: QuotientModule, ell: Optional[LinearForm], property: str) -> LefschetzReport:
-    """The maximal-rank verdict, from the factors when the module splits.
+def check_slp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
+    """Decide that every power map (times ell^d): M_i -> M_{i+d} has maximal rank.
 
     ell^d has maximal rank in every degree iff its rank on the whole module,
     the sum over blocks of max(0, s - d), equals the sum over i of
-    min(h_i, h_(i+d)).  A split module that meets this for every required d
-    passes without a scan.  Any other module, and a split one predicted to
-    fail, is scanned, so every failure is exact and in scan order.
+    min(h_i, h_(i+d)).  A split module that meets this for every d passes
+    without a scan.  Any other module, and a split one predicted to fail, is
+    scanned, so every failure is exact and in scan order.
     """
     ell = ell or LinearForm.all_ones(module.nvars)
     summand = Summand(module, form=ell)
@@ -406,25 +401,12 @@ def _decide(module: QuotientModule, ell: Optional[LinearForm], property: str) ->
     if split is not None:
         blocks, series = split
         h = series.coeffs
-        powers = range(1, 2 if property == "WLP" else len(h))
         if all(
             sum(s - d for s in blocks if s > d) == sum(map(min, h, h[d:]))
-            for d in powers
+            for d in range(1, len(h))
         ):
-            return LefschetzReport(
-                property=property, holds=True, failures=(), linear_form=(ell,)
-            )
-    return direct_sum_check([summand], property=property)
-
-
-def check_wlp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
-    """Decide that every (times ell): M_i -> M_{i+1} has maximal rank."""
-    return _decide(module, ell, "WLP")
-
-
-def check_slp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
-    """Decide that every power map (times ell^d): M_i -> M_{i+d} has maximal rank."""
-    return _decide(module, ell, "SLP")
+            return LefschetzReport(property="SLP", holds=True, failures=(), linear_form=(ell,))
+    return direct_sum_check([summand], property="SLP")
 
 
 def direct_sum_slp(

@@ -230,26 +230,6 @@ def test_json_output_is_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_DIGESTS[argv]
 
 
-def test_check_explain_adds_jordan_type(capsys):
-    argv = ("check", "slp", "--num", "1", "--den", "x^2, y^2", "--format", "json")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    report = json.loads(out)
-    assert "explain" not in report["inputs"]
-    assert "jordan_type" not in report["result"]
-    code, out, _ = run(capsys, *argv, "--explain")
-    assert code == 0
-    result = json.loads(out)["result"]
-    assert result["holds"] is True
-    assert result["jordan_type"] == result["hilbert_conjugate"] == [3, 1]
-    # x kills M_0 after two steps: two blocks of size 2 against (3, 1)
-    code, out, _ = run(capsys, *argv, "--explain", "--linear-form", "1,0")
-    result = json.loads(out)["result"]
-    assert result["holds"] is False
-    assert result["jordan_type"] == [2, 2]
-    assert result["hilbert_conjugate"] == [3, 1]
-
-
 def test_check_falls_back_to_random_forms(capsys):
     # x is no Lefschetz element of S/(x^2, y^2): x^2 kills M_0
     argv = ("check", "slp", "--num", "1", "--den", "x^2, y^2", "--linear-form", "1,0")

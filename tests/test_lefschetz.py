@@ -20,7 +20,6 @@ from lefschetz import (
     csm_slp_criterion,
     direct_sum_check,
     direct_sum_slp,
-    jordan_type,
     mult_matrix,
     parse_ideal,
     tensor_slp_condition,
@@ -196,10 +195,9 @@ def test_split_complete_intersection_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "rank", no_matrix)
     monkeypatch.setattr(ExactMatrix, "rank_mod_p", no_matrix)
     assert check_slp(module).holds
-    assert check_wlp(module).holds
-    blocks = jordan_type(module)
+    assert check_slp(module, LinearForm((1, -2, 3))).holds
+    blocks = lefschetz_module._split_jordan_type(module, LinearForm.all_ones(3))[0]
     assert sum(blocks) == 8**3 and blocks[0] == 22
-    assert blocks == jordan_type(module, LinearForm((1, -2, 3)))
     # the product box was never walked
     assert "_index" not in vars(module)
 
@@ -232,12 +230,13 @@ def test_certificate_prime_multiples_fall_back_to_exact_ranks(monkeypatch, den, 
 
     monkeypatch.setattr(ExactMatrix, "rank", spy_rank)
     # check_slp reads S/(x^2, y^2, z^2) from its one-variable factors and
-    # ranks nothing, so the scan is called directly
+    # ranks nothing, so the spy watches the scan, and the checker must agree
     for prop, checker in (("WLP", check_wlp), ("SLP", check_slp)):
         ranked.clear()
         report = direct_sum_check([Summand(module, form=scaled)], property=prop)
         assert ranked
         assert all(m.rank_mod_p() == 0 for m in ranked)
+        assert checker(module, scaled) == report
         reference = checker(module, LinearForm(form))
         assert report.holds == reference.holds
         assert report.failures == reference.failures

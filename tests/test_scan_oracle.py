@@ -22,16 +22,14 @@ from lefschetz import (
     TensorCondition,
     algebra_quotient,
     check_slp,
-    check_wlp,
     direct_sum_check,
-    jordan_type,
     monomials_of_degree,
     mult_matrix,
     tensor_slp_condition,
     type_two_ideal,
     variable_power,
 )
-from lefschetz.lefschetz import _split_jordan_type
+from lefschetz.lefschetz import _scanned_jordan_type, _split_jordan_type
 from lefschetz.series import sum_series
 from lefschetz.sweeps import (
     _tensor_params,
@@ -322,8 +320,7 @@ def test_split_decision_matches_scan(nvars, seed, kind):
         for v in rng.choice(classes):
             coeffs[v] = 0
     form = LinearForm(tuple(coeffs))
-    for prop, checker in (("WLP", check_wlp), ("SLP", check_slp)):
-        assert checker(module, form) == direct_sum_check([Summand(module, form=form)], prop)
+    assert check_slp(module, form) == direct_sum_check([Summand(module, form=form)], "SLP")
 
 
 @settings(max_examples=40, deadline=None)
@@ -332,7 +329,11 @@ def test_jordan_type_matches_every_ranked_map(nvars, seed, split):
     rng = random.Random(seed)
     module = split_module(rng, nvars)[0] if split else random_module(rng, min(nvars, 3))
     form = random_form(rng, module.nvars)
-    assert jordan_type(module, form) == unpruned_jordan_type(module, form)
+    expected = unpruned_jordan_type(module, form)
+    assert _scanned_jordan_type(module, form) == expected
+    parts = _split_jordan_type(module, form)
+    if parts is not None:
+        assert parts == (expected, module.hilbert_series())
 
 
 def test_split_decision_matches_scan_on_lemma_corpora():
@@ -348,13 +349,11 @@ def test_split_decision_matches_scan_on_lemma_corpora():
         forms = [LinearForm.all_ones(module.nvars + 1), LinearForm((2, -1, 3)[-module.nvars - 1:])]
         for c in range(1, bound + 1):
             truncation = module.tensor_truncation(c)
-            for form in forms[: 1 + c % 2]:
-                for prop, checker in (("WLP", check_wlp), ("SLP", check_slp)):
-                    report = checker(truncation, form)
-                    summand = Summand(truncation, form=form)
-                    assert report == direct_sum_check([summand], prop)
-                    cases += 1
-                    split = _split_jordan_type(truncation, form) is not None
-                    split_failing += split and not report.holds
+            for form in forms:
+                report = check_slp(truncation, form)
+                assert report == direct_sum_check([Summand(truncation, form=form)], "SLP")
+                cases += 1
+                split = _split_jordan_type(truncation, form) is not None
+                split_failing += split and not report.holds
     # some split modules are predicted to fail and fall back to the scan
     assert cases > 1000 and split_failing
