@@ -19,6 +19,7 @@ from .lefschetz import (
     direct_sum_slp,
     mult_matrix,
     tensor_slp_condition,
+    tensor_truncation_failures,
     type_two_ideal,
     type_two_slp_conditions,
 )

@@ -7,15 +7,17 @@ witnesses.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import le, mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exact import ExactMatrix, multinomial
 from .monomials import (
+    MAX_BOX_CELLS,
     Monomial,
     MonomialIdeal,
     QuotientModule,
@@ -318,23 +320,29 @@ def _clebsch_gordan(left: Sequence[int], right: Sequence[int]) -> tuple[int, ...
     )
 
 
-def _scanned_jordan_type(module: QuotientModule, ell: LinearForm) -> tuple[int, ...]:
-    """Jordan type of (times ell) from the ranks of one pruned SLP scan.
+def _jordan_type(h: Sequence[int], failures: Sequence[MapFailure]) -> tuple[int, ...]:
+    """Jordan type of (times ell) from the failures of one pruned SLP scan.
 
-    A map the scan skips or passes has rank min(h_i, h_(i+d)) and a failing
-    map carries its exact rank, so the rank r_d of ell^d on the whole module
-    is known for every d.  The number of blocks of size s is
+    ``h`` lists the module's Hilbert function over its support.  A map the
+    scan skips or passes has rank min(h_i, h_(i+d)) and a failing map
+    carries its exact rank, so the rank r_d of ell^d on the whole module is
+    known for every d.  The number of blocks of size s is
     r_(s-1) - 2 r_s + r_(s+1).
     """
-    h = module.hilbert_series().coeffs
     ranks = [sum(h)] + [sum(map(min, h, h[d:])) for d in range(1, len(h))] + [0, 0]
-    for failure in _scan_maps([Summand(module, form=ell)], only_d_one=False):
+    for failure in failures:
         ranks[failure.d] -= failure.expected - failure.rank
     return tuple(
         s
         for s in range(len(h), 0, -1)
         for _ in range(ranks[s - 1] - 2 * ranks[s] + ranks[s + 1])
     )
+
+
+def _scanned_jordan_type(module: QuotientModule, ell: LinearForm) -> tuple[int, ...]:
+    """Jordan type of (times ell) from one pruned SLP scan of the module."""
+    failures = _scan_maps([Summand(module, form=ell)], only_d_one=False)
+    return _jordan_type(module.hilbert_series().coeffs, failures)
 
 
 def _split_jordan_type(
@@ -380,6 +388,23 @@ def _split_jordan_type(
     return blocks, series
 
 
+def _meets_rank_rule(
+    blocks: Sequence[int], h: Sequence[int], only_d_one: bool = False
+) -> bool:
+    """Whether every map (times ell^d): M_i -> M_{i+d} has maximal rank.
+
+    ``blocks`` is the Jordan type of ell and ``h`` the Hilbert function over
+    the support.  The rank of ell^d on the whole module, the sum over blocks
+    of max(0, s - d), is the sum of the ranks of those maps, each at most
+    min(h_i, h_(i+d)); so all have maximal rank iff the two sums agree.
+    Every d is tested, or d = 1 alone.
+    """
+    powers = [1] if only_d_one else range(1, len(h))
+    return all(
+        sum(s - d for s in blocks if s > d) == sum(map(min, h, h[d:])) for d in powers
+    )
+
+
 def check_wlp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
     """Scan every (times ell): M_i -> M_{i+1} for maximal rank."""
     ell = ell or LinearForm.all_ones(module.nvars)
@@ -389,24 +414,88 @@ def check_wlp(module: QuotientModule, ell: Optional[LinearForm] = None) -> Lefsc
 def check_slp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
     """Decide that every power map (times ell^d): M_i -> M_{i+d} has maximal rank.
 
-    ell^d has maximal rank in every degree iff its rank on the whole module,
-    the sum over blocks of max(0, s - d), equals the sum over i of
-    min(h_i, h_(i+d)).  A split module that meets this for every d passes
-    without a scan.  Any other module, and a split one predicted to fail, is
-    scanned, so every failure is exact and in scan order.
+    A split module whose Jordan type meets the rank rule (see
+    :func:`_meets_rank_rule`) for every d passes without a scan.  Any other
+    module, and a split one predicted to fail, is scanned, so every failure
+    is exact and in scan order.
     """
     ell = ell or LinearForm.all_ones(module.nvars)
     summand = Summand(module, form=ell)
     split = _split_jordan_type(module, ell)
-    if split is not None:
-        blocks, series = split
-        h = series.coeffs
-        if all(
-            sum(s - d for s in blocks if s > d) == sum(map(min, h, h[d:]))
-            for d in range(1, len(h))
-        ):
-            return LefschetzReport(property="SLP", holds=True, failures=(), linear_form=(ell,))
+    if split is not None and _meets_rank_rule(split[0], split[1].coeffs):
+        return LefschetzReport(property="SLP", holds=True, failures=(), linear_form=(ell,))
     return direct_sum_check([summand], property="SLP")
+
+
+def _truncation_base(summand: Summand) -> tuple[tuple[int, ...], HilbertSeries]:
+    """Jordan type of the summand's form on its module, and the module's series.
+
+    Read from the factors when the module splits, else from the failures of
+    one SLP scan of the module.
+    """
+    module, ell = summand.module, summand.resolved_form()
+    split = _split_jordan_type(module, ell)
+    if split is not None:
+        return split
+    failures = direct_sum_check([summand], property="SLP").failures
+    series = module.hilbert_series()
+    return _jordan_type(series.coeffs, failures), series
+
+
+def _failing_heights(
+    blocks: Sequence[int],
+    series: HilbertSeries,
+    heights: Sequence[int],
+    only_d_one: bool,
+) -> list[int]:
+    """The heights c at which M (x) k[t]/(t^c) misses the rank rule.
+
+    ``blocks`` and ``series`` belong to M.  With the form ell + t the
+    truncation's Jordan type is the Clebsch-Gordan product of M's with the
+    single block (c), and its series is M's times 1 + ... + t^(c-1).
+    """
+    return [
+        c
+        for c in heights
+        if not _meets_rank_rule(
+            _clebsch_gordan(blocks, (c,)), series.times_truncation(c).coeffs, only_d_one
+        )
+    ]
+
+
+def tensor_truncation_failures(
+    module: QuotientModule,
+    heights: Iterable[int],
+    ell: Optional[LinearForm] = None,
+    property: str = "SLP",
+) -> list[int]:
+    """The heights c at which ``module.tensor_truncation(c)`` fails the property.
+
+    The truncation is taken with the form (ell, 1).  The Jordan type of ell
+    on the module is read once (one scan at most), and every height is
+    decided from it by Clebsch-Gordan and the rank rule: every power under
+    the SLP, d = 1 under the WLP.  No truncation is built, and the verdicts
+    are those of ``check_slp`` and ``check_wlp`` on each truncation.  Heights
+    are checked as ``tensor_truncation`` checks them, the form as a
+    ``Summand`` does, and a truncation box that the scan would refuse is
+    refused.
+    """
+    if property not in ("WLP", "SLP"):
+        raise ValueError("property must be 'WLP' or 'SLP'")
+    heights = list(heights)
+    for c in heights:
+        module.refuse_truncation(c)
+    summand = Summand(module, form=ell)
+    if not heights:
+        return []
+    cells = math.prod(module.denominator.pure_power_caps) * max(heights)
+    if not module.numerator.is_zero and cells > MAX_BOX_CELLS:
+        raise ValueError(
+            f"the pure-power box of {module} times k[t]/(t^{max(heights)}) has "
+            f"{cells} cells, over the limit of {MAX_BOX_CELLS}"
+        )
+    blocks, series = _truncation_base(summand)
+    return _failing_heights(blocks, series, heights, only_d_one=property == "WLP")
 
 
 def direct_sum_slp(

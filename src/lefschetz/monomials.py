@@ -341,6 +341,13 @@ class QuotientModule:
             raise ValueError("zero module has no socle degree")
         return series.end
 
+    def refuse_truncation(self, c: int) -> None:
+        """Raise ValueError when ``tensor_truncation(c)`` cannot be built."""
+        if c < 1:
+            raise ValueError("truncation exponent must be at least 1")
+        if self.nvars + 1 > MAX_VARIABLES:
+            raise ValueError("ambient variable limit exceeded")
+
     def tensor_truncation(self, c: int) -> "QuotientModule":
         """The module tensored with k[t]/(t^c), t a fresh ambient variable.
 
@@ -348,11 +355,8 @@ class QuotientModule:
         generator, so the degree-e basis is every m * t^j with j < c and m
         in the degree-(e - j) basis of this module.
         """
-        if c < 1:
-            raise ValueError("truncation exponent must be at least 1")
+        self.refuse_truncation(c)
         nvars = self.nvars + 1
-        if nvars > MAX_VARIABLES:
-            raise ValueError("ambient variable limit exceeded")
         num = self.numerator.extended(nvars)
         den = self.denominator.extended(nvars) + MonomialIdeal.from_generators(
             [variable_power(nvars, nvars - 1, c)]

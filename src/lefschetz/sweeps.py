@@ -14,10 +14,13 @@ from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, Optional
 
 from .lefschetz import (
+    Summand,
+    _failing_heights,
+    _truncation_base,
     check_slp,
-    check_wlp,
     csm_slp_criterion,
     tensor_slp_condition,
+    tensor_truncation_failures,
     type_two_ideal,
     type_two_slp_conditions,
     TensorCondition,
@@ -196,20 +199,21 @@ def _tensor_params(limit: int) -> Iterator[tuple[int, int, int, int]]:
                     yield (alpha, beta, a, b)
 
 
-def _tensor_case(params: tuple[int, int, int, int]) -> Optional[dict]:
-    alpha, beta, a, b = params
-    if tensor_slp_condition(alpha, beta, a, b) is TensorCondition.NONE:
-        return None
+def _tensor_module(alpha: int, beta: int, a: int, b: int) -> QuotientModule:
+    """The module (x^alpha, y^beta)/(x^a, y^b)."""
     numerator = MonomialIdeal.from_generators(
         [Monomial((alpha, 0)), Monomial((0, beta))]
     )
     box = MonomialIdeal.from_generators([Monomial((a, 0)), Monomial((0, b))])
-    module = QuotientModule(numerator, box)
-    bad_c = [
-        c
-        for c in range(1, a + b + 1)
-        if not check_slp(module.tensor_truncation(c)).holds
-    ]
+    return QuotientModule(numerator, box)
+
+
+def _tensor_case(params: tuple[int, int, int, int]) -> Optional[dict]:
+    alpha, beta, a, b = params
+    if tensor_slp_condition(alpha, beta, a, b) is TensorCondition.NONE:
+        return None
+    module = _tensor_module(alpha, beta, a, b)
+    bad_c = tensor_truncation_failures(module, range(1, a + b + 1))
     if not bad_c:
         return None
     return {"params": list(params), "failing_c": bad_c}
@@ -252,24 +256,19 @@ def sweep_lgv_oracle(max_value: int = 7, max_len: int = 3, jobs: int = 1) -> dic
 
 def two_variable_corpus(limit: int = 4) -> Iterator[QuotientModule]:
     """Nonzero modules (x^alpha, y^beta)/(x^a, y^b) with parameters <= limit."""
-    for alpha, beta, a, b in _tensor_params(limit):
-        numerator = MonomialIdeal.from_generators(
-            [Monomial((alpha, 0)), Monomial((0, beta))]
-        )
-        box = MonomialIdeal.from_generators([Monomial((a, 0)), Monomial((0, b))])
-        module = QuotientModule(numerator, box)
+    for params in _tensor_params(limit):
+        module = _tensor_module(*params)
         if not module.hilbert_series().is_zero:
             yield module
 
 
 def _almost_centered_case(module: QuotientModule) -> Optional[dict]:
-    if not check_slp(module).holds:
+    failing = tensor_truncation_failures(module, range(1, module.socle_degree() + 3))
+    # M (x) k[t]/(t) is M, so height 1 is the module's own SLP.
+    if 1 in failing:
         return None
     predicted = is_almost_centered(module.hilbert_series())
-    bound = module.socle_degree() + 2
-    actual = all(
-        check_slp(module.tensor_truncation(c)).holds for c in range(1, bound + 1)
-    )
+    actual = not failing
     if predicted == actual:
         return None
     return {"module": str(module), "almost_centered": predicted, "tensor_slp": actual}
@@ -296,11 +295,12 @@ def algebra_corpus(limit: int = 4) -> Iterator[QuotientModule]:
 
 
 def _algebra_tensor_case(module: QuotientModule) -> Optional[dict]:
-    predicted = check_slp(module).holds
-    bound = module.socle_degree() + 2
-    actual = all(
-        check_wlp(module.tensor_truncation(c)).holds for c in range(1, bound + 1)
-    )
+    # One Jordan type decides both: the SLP of M (x) k[t]/(t), which is M,
+    # and the WLP of every truncation.
+    blocks, series = _truncation_base(Summand(module))
+    predicted = not _failing_heights(blocks, series, [1], only_d_one=False)
+    heights = range(1, module.socle_degree() + 3)
+    actual = not _failing_heights(blocks, series, heights, only_d_one=True)
     if predicted == actual:
         return None
     return {"module": str(module), "slp": predicted, "tensor_wlp": actual}

@@ -23,6 +23,7 @@ from lefschetz import (
     mult_matrix,
     parse_ideal,
     tensor_slp_condition,
+    tensor_truncation_failures,
     type_two_ideal,
     type_two_slp_conditions,
 )
@@ -200,6 +201,40 @@ def test_split_complete_intersection_builds_no_matrix(monkeypatch):
     assert sum(blocks) == 8**3 and blocks[0] == 22
     # the product box was never walked
     assert "_index" not in vars(module)
+
+
+def test_truncation_failures_refuse_heights_below_one():
+    module = algebra_quotient(parse_ideal("x^2, y^2"))
+    with pytest.raises(ValueError, match="truncation exponent must be at least 1"):
+        tensor_truncation_failures(module, [2, 0])
+
+
+def test_truncation_failures_refuse_a_four_variable_base():
+    module = algebra_quotient(parse_ideal("x^2, y^2, z^2, t^2"))
+    with pytest.raises(ValueError, match="ambient variable limit exceeded"):
+        tensor_truncation_failures(module, [1])
+
+
+def test_truncation_failures_check_the_form_length():
+    module = algebra_quotient(parse_ideal("x^2, y^2"))
+    with pytest.raises(ValueError, match="3 coefficients for a module in 2 variables"):
+        tensor_truncation_failures(module, [1], LinearForm((1, 1, 1)))
+
+
+def test_truncation_failures_of_a_zero_base_are_empty():
+    module = QuotientModule(parse_ideal("x, y"), parse_ideal("x, y"))
+    assert module.hilbert_series().is_zero
+    assert tensor_truncation_failures(module, range(1, 5)) == []
+    assert check_slp(module.tensor_truncation(3)).holds
+
+
+def test_truncation_failures_refuse_a_box_the_scan_refuses():
+    module = algebra_quotient(parse_ideal("x^100, y^100"))
+    assert tensor_truncation_failures(module, [2]) == []
+    with pytest.raises(ValueError, match="over the limit"):
+        tensor_truncation_failures(module, [3])
+    with pytest.raises(ValueError, match="over the limit"):
+        check_slp(module.tensor_truncation(3))
 
 
 def test_report_invariant_is_an_internal_error():

@@ -26,12 +26,14 @@ from lefschetz import (
     monomials_of_degree,
     mult_matrix,
     tensor_slp_condition,
+    tensor_truncation_failures,
     type_two_ideal,
     variable_power,
 )
 from lefschetz.lefschetz import _scanned_jordan_type, _split_jordan_type
 from lefschetz.series import sum_series
 from lefschetz.sweeps import (
+    _tensor_module,
     _tensor_params,
     _type_two_params,
     algebra_corpus,
@@ -357,3 +359,45 @@ def test_split_decision_matches_scan_on_lemma_corpora():
                 split_failing += split and not report.holds
     # some split modules are predicted to fail and fall back to the scan
     assert cases > 1000 and split_failing
+
+
+def scanned_failing_heights(module, heights, form, property):
+    """The heights whose truncation fails the scan with the form (form, 1)."""
+    extended = LinearForm(form.coefficients + (1,))
+    return [
+        c
+        for c in heights
+        if not direct_sum_check(
+            [Summand(module.tensor_truncation(c), form=extended)], property
+        ).holds
+    ]
+
+
+def signed_form(nvars):
+    return LinearForm((2, -3)[-nvars:])
+
+
+def test_truncation_failures_match_scan_on_tensor_params():
+    failing = 0
+    for alpha, beta, a, b in _tensor_params(4):
+        module = _tensor_module(alpha, beta, a, b)
+        heights = range(1, a + b + 3)
+        for form in (LinearForm.all_ones(2), signed_form(2)):
+            got = tensor_truncation_failures(module, heights, form)
+            assert got == scanned_failing_heights(module, heights, form, "SLP")
+            failing += len(got)
+    assert failing
+
+
+def test_truncation_failures_match_scan_on_lemma_corpora():
+    failing = {"SLP": 0, "WLP": 0}
+    for module in [*two_variable_corpus(3), *algebra_corpus(3)]:
+        heights = range(1, module.socle_degree() + 3)
+        # y alone fails the WLP on some truncations; the other two do not here
+        partial = LinearForm((0, 1)[-module.nvars:])
+        for form in (LinearForm.all_ones(module.nvars), signed_form(module.nvars), partial):
+            for property in failing:
+                got = tensor_truncation_failures(module, heights, form, property)
+                assert got == scanned_failing_heights(module, heights, form, property)
+                failing[property] += len(got)
+    assert all(failing.values())
