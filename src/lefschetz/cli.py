@@ -214,10 +214,14 @@ def _limit(args, default: int) -> int:
     return default if args.limit is None else args.limit
 
 
+def _main_theorem_sweep(args) -> dict:
+    if args.limit is not None:
+        raise ValueError("main-thm takes no --limit; bound its boxes with --max-a and --max-b")
+    return sweeps.sweep_main_theorem(amax=args.max_a, bmax=args.max_b, jobs=args.jobs)
+
+
 _SWEEPS = {
-    "main-thm": lambda args: sweeps.sweep_main_theorem(
-        amax=args.max_a, bmax=args.max_b, jobs=args.jobs
-    ),
+    "main-thm": _main_theorem_sweep,
     "type2": lambda args: sweeps.sweep_type_two(limit=_limit(args, 5), jobs=args.jobs),
     "tensor": lambda args: sweeps.sweep_tensor(limit=_limit(args, 5), jobs=args.jobs),
     "lgv-oracle": lambda args: sweeps.sweep_lgv_oracle(

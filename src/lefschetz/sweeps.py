@@ -80,6 +80,34 @@ def _run(
         return list(pool.map(worker, items, chunksize=16))
 
 
+def _run_mirrored(
+    worker: Callable,
+    items: list,
+    mirror: Callable,
+    labels: Callable[[tuple], dict],
+    jobs: int,
+) -> list[dict]:
+    """The violations of ``worker`` over ``items``, one run per mirror orbit.
+
+    ``mirror`` swaps the variables x and y in an item's parameters.  The
+    swap is a graded automorphism of the ring that fixes the all-ones form,
+    so an item and its mirror have equal ranks for every map and equal
+    sufficient conditions: the worker gives both the same record up to the
+    item's own labels.  The worker runs once on the smaller item of each
+    orbit {p, mirror(p)} in ``items``, and every violation is relabelled
+    with ``labels(item)``.
+    """
+    present = set(items)
+    reps = [min(p, m) if (m := mirror(p)) in present else p for p in items]
+    distinct = list(dict.fromkeys(reps))
+    results = dict(zip(distinct, _run(worker, distinct, jobs)))
+    return [
+        {**results[rep], **labels(item)}
+        for item, rep in zip(items, reps)
+        if results[rep]
+    ]
+
+
 def _summary(cases: int, violations: list[dict]) -> dict:
     violations.sort(key=repr)
     return {"cases": cases, "violations": violations, "ok": not violations}
@@ -111,12 +139,27 @@ def _main_theorem_items(
                 yield (a, b, heights)
 
 
+def _staircase_transpose(
+    item: tuple[int, int, tuple[int, ...]]
+) -> tuple[int, int, tuple[int, ...]]:
+    """The staircase with x and y swapped: the b x a box, conjugate heights."""
+    a, b, heights = item
+    return (b, a, tuple(sum(h > j for h in heights) for j in range(b)))
+
+
+def _main_theorem_labels(item: tuple[int, int, tuple[int, ...]]) -> dict:
+    a, b, heights = item
+    return {"a": a, "b": b, "ideal": str(staircase_ideal(a, b, heights))}
+
+
 def sweep_main_theorem(
     amin: int = 2, amax: int = 6, bmin: int = 2, bmax: int = 6, jobs: int = 1
 ) -> dict:
     items = list(_main_theorem_items(amin, amax, bmin, bmax))
-    results = _run(_main_theorem_case, items, jobs)
-    return _summary(len(items), [r for r in results if r])
+    violations = _run_mirrored(
+        _main_theorem_case, items, _staircase_transpose, _main_theorem_labels, jobs
+    )
+    return _summary(len(items), violations)
 
 
 # --- pipeline: the LGV certificate chain on the same corpus ---
@@ -183,10 +226,23 @@ def _type_two_case(params: tuple[int, int, int, int, int, int]) -> Optional[dict
     }
 
 
+def _type_two_mirror(
+    params: tuple[int, int, int, int, int, int]
+) -> tuple[int, int, int, int, int, int]:
+    a, b, c, alpha, beta, gamma = params
+    return (b, a, c, beta, alpha, gamma)
+
+
+def _params_labels(params: tuple[int, ...]) -> dict:
+    return {"params": list(params)}
+
+
 def sweep_type_two(limit: int = 5, jobs: int = 1) -> dict:
     items = list(_type_two_params(limit))
-    results = _run(_type_two_case, items, jobs)
-    return _summary(len(items), [r for r in results if r])
+    violations = _run_mirrored(
+        _type_two_case, items, _type_two_mirror, _params_labels, jobs
+    )
+    return _summary(len(items), violations)
 
 
 # --- tensor-extension sufficient condition implies the SLP ---
@@ -219,10 +275,15 @@ def _tensor_case(params: tuple[int, int, int, int]) -> Optional[dict]:
     return {"params": list(params), "failing_c": bad_c}
 
 
+def _tensor_mirror(params: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    alpha, beta, a, b = params
+    return (beta, alpha, b, a)
+
+
 def sweep_tensor(limit: int = 5, jobs: int = 1) -> dict:
     items = list(_tensor_params(limit))
-    results = _run(_tensor_case, items, jobs)
-    return _summary(len(items), [r for r in results if r])
+    violations = _run_mirrored(_tensor_case, items, _tensor_mirror, _params_labels, jobs)
+    return _summary(len(items), violations)
 
 
 # --- LGV determinant against the brute-force path-count oracle ---

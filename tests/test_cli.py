@@ -350,6 +350,13 @@ def test_empty_sweep_exits_two(capsys, argv):
     assert "empty corpus" in err
 
 
+def test_main_theorem_sweep_refuses_limit(capsys):
+    code, out, err = run(capsys, "sweep", "main-thm", "--limit", "3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "--max-a" in err and "--max-b" in err
+
+
 def test_lgv_oracle_sweep_reads_limit(capsys):
     code, out, _ = run(capsys, "sweep", "lgv-oracle", "--limit", "2", "--format", "json")
     assert code == 0

@@ -4,9 +4,32 @@ from math import comb
 import pytest
 
 import lefschetz.lefschetz as lefschetz_module
-from lefschetz import Monomial, MonomialIdeal, QuotientModule, tensor_truncation_failures
+import lefschetz.sweeps as sweeps_module
+from lefschetz import (
+    LinearForm,
+    Monomial,
+    MonomialIdeal,
+    QuotientModule,
+    algebra_quotient,
+    check_slp,
+    tensor_slp_condition,
+    tensor_truncation_failures,
+    type_two_ideal,
+    type_two_slp_conditions,
+)
 from lefschetz.sweeps import (
+    _main_theorem_case,
+    _main_theorem_items,
     _staircase_heights,
+    _staircase_transpose,
+    _summary,
+    _tensor_case,
+    _tensor_mirror,
+    _tensor_module,
+    _tensor_params,
+    _type_two_case,
+    _type_two_mirror,
+    _type_two_params,
     algebra_corpus,
     staircase_ideal,
     staircase_ideals,
@@ -66,6 +89,7 @@ def test_parallel_matches_serial():
     parallel = sweep_main_theorem(amax=3, bmax=3, jobs=2)
     assert serial == parallel
     assert sweep_tensor(limit=3, jobs=1) == sweep_tensor(limit=3, jobs=2)
+    assert sweep_type_two(limit=3, jobs=1) == sweep_type_two(limit=3, jobs=2)
 
 
 def test_corpora_are_nonzero_modules():
@@ -127,3 +151,128 @@ def test_truncation_verdict_is_constant_from_the_support_width():
         assert failing in ([], list(heights)), str(module)
         verdicts[not failing] += 1
     assert verdicts[True] and verdicts[False]
+
+
+# --- the x <-> y mirror: a sweep decides each orbit {p, mirror(p)} once ---
+
+
+def _box(a, b):
+    return MonomialIdeal.from_generators([Monomial((a, 0)), Monomial((0, b))])
+
+
+def _every_item(worker, items):
+    """The summary of running the worker on every item, with no mirror shortcut."""
+    items = list(items)
+    return _summary(len(items), [r for r in map(worker, items) if r])
+
+
+def test_type_two_mirror_keeps_failures_and_conditions():
+    items = list(_type_two_params(4))
+    assert len(items) == 216
+    for form, mirrored_form in [((1, 1, 1), (1, 1, 1)), ((2, -3, 5), (-3, 2, 5))]:
+        failures = {
+            p: check_slp(algebra_quotient(type_two_ideal(*p)), LinearForm(form)).failures
+            for p in items
+        }
+        for p in items:
+            mirrored = _type_two_mirror(p)
+            assert _type_two_mirror(mirrored) == p
+            assert type_two_slp_conditions(*p) == type_two_slp_conditions(*mirrored)
+            assert (
+                check_slp(algebra_quotient(type_two_ideal(*mirrored)), LinearForm(mirrored_form)).failures
+                == failures[p]
+            ), p
+        assert sum(1 for f in failures.values() if f) == 26
+
+
+def test_staircase_transpose_keeps_failures():
+    items = list(_main_theorem_items(2, 5, 2, 5))
+    assert len(items) == 874
+    # x alone fails on most staircases, so the comparison is not vacuous
+    for form, mirrored_form in [((1, 1), (1, 1)), ((1, 0), (0, 1))]:
+        failures = {}
+        for a, b, heights in items:
+            module = QuotientModule(staircase_ideal(a, b, heights), _box(a, b))
+            failures[a, b, heights] = check_slp(module, LinearForm(form)).failures
+        for item in items:
+            a, b, heights = item
+            mirrored = _staircase_transpose(item)
+            assert _staircase_transpose(mirrored) == item
+            ideal, mirrored_ideal = staircase_ideal(*item), staircase_ideal(*mirrored)
+            assert mirrored_ideal.generators == {
+                Monomial(g.exponents[::-1]) for g in ideal.generators
+            }
+            module = QuotientModule(mirrored_ideal, _box(b, a))
+            assert check_slp(module, LinearForm(mirrored_form)).failures == failures[item]
+        assert any(failures.values()) == (form == (1, 0))
+
+
+def test_tensor_mirror_keeps_conditions_and_failing_heights():
+    failing = 0
+    for p in _tensor_params(5):
+        mirrored = _tensor_mirror(p)
+        assert _tensor_mirror(mirrored) == p
+        assert tensor_slp_condition(*p) == tensor_slp_condition(*mirrored)
+        heights = range(1, p[2] + p[3] + 1)
+        for form in [(1, 1), (2, -3)]:
+            bad = tensor_truncation_failures(_tensor_module(*p), heights, LinearForm(form))
+            assert tensor_truncation_failures(
+                _tensor_module(*mirrored), heights, LinearForm(form[::-1])
+            ) == bad, (p, form)
+            failing += bool(bad)
+    assert failing
+
+
+def test_mirrored_sweeps_match_every_item_run():
+    assert sweep_type_two(limit=5) == _every_item(_type_two_case, _type_two_params(5))
+    assert sweep_tensor(limit=5) == _every_item(_tensor_case, _tensor_params(5))
+    assert sweep_main_theorem(amax=4, bmax=4) == _every_item(
+        _main_theorem_case, _main_theorem_items(2, 4, 2, 4)
+    )
+
+
+def test_mirrored_violations_keep_their_own_labels(monkeypatch):
+    # Checks that fail on many items, with forms the swap fixes: z alone on
+    # the type-two algebras, and ell + t on M (x) k[t]/(t^3) for staircases.
+    monkeypatch.setattr(
+        sweeps_module, "check_slp", lambda m: check_slp(m, LinearForm((0, 0, 1)))
+    )
+    summary = sweep_type_two(limit=4)
+    assert summary == _every_item(_type_two_case, _type_two_params(4))
+    labelled = {tuple(v["params"]) for v in summary["violations"]}
+    assert len(labelled) == 167
+    assert all(_type_two_mirror(p) in labelled for p in labelled)
+
+    monkeypatch.setattr(
+        sweeps_module, "check_slp", lambda m: check_slp(m.tensor_truncation(3))
+    )
+    ran = []
+    run = sweeps_module._run
+
+    def recording_run(worker, items, jobs):
+        ran.extend(items)
+        return run(worker, items, jobs)
+
+    monkeypatch.setattr(sweeps_module, "_run", recording_run)
+    # a 4 x 3 box has its transpose outside the corpus: it is run as itself
+    for amax, bmax in [(4, 4), (4, 3)]:
+        items = list(_main_theorem_items(2, amax, 2, bmax))
+        summary = sweep_main_theorem(amax=amax, bmax=bmax)
+        assert summary["violations"]
+        assert summary == _every_item(_main_theorem_case, items)
+        assert set(ran) <= set(items)
+        ran.clear()
+
+
+def test_sweep_type_two_scans_one_module_per_mirror_pair(monkeypatch):
+    scanned = []
+    scan = lefschetz_module._scan_maps
+
+    def counting_scan(summands, only_d_one):
+        scanned.append(summands[0].module)
+        return scan(summands, only_d_one)
+
+    monkeypatch.setattr(lefschetz_module, "_scan_maps", counting_scan)
+    assert sweep_type_two(limit=4)["cases"] == 216
+    # 167 algebras are predicted to have the SLP; 93 up to the swap
+    assert len(scanned) == 93
