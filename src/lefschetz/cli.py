@@ -210,37 +210,30 @@ def _run_pipeline_verb(args) -> tuple[dict, int]:
     )
 
 
-def _limit(args, default: int) -> int:
-    return default if args.limit is None else args.limit
-
-
-def _main_theorem_sweep(args) -> dict:
-    if args.limit is not None:
-        raise ValueError("main-thm takes no --limit; bound its boxes with --max-a and --max-b")
-    return sweeps.sweep_main_theorem(amax=args.max_a, bmax=args.max_b, jobs=args.jobs)
-
-
+# Each sweep verb: its function, and the bound options it reads mapped to
+# that function's keywords.  An unset bound keeps the function's default.
 _SWEEPS = {
-    "main-thm": _main_theorem_sweep,
-    "type2": lambda args: sweeps.sweep_type_two(limit=_limit(args, 5), jobs=args.jobs),
-    "tensor": lambda args: sweeps.sweep_tensor(limit=_limit(args, 5), jobs=args.jobs),
-    "lgv-oracle": lambda args: sweeps.sweep_lgv_oracle(
-        max_value=_limit(args, 7), jobs=args.jobs
-    ),
-    "almost-centered": lambda args: sweeps.sweep_almost_centered_lemma(
-        limit=_limit(args, 4), jobs=args.jobs
-    ),
-    "algebra-tensor": lambda args: sweeps.sweep_algebra_tensor_lemma(
-        limit=_limit(args, 4), jobs=args.jobs
-    ),
-    "csm": lambda args: sweeps.sweep_csm_criterion(
-        limit=_limit(args, 4), jobs=args.jobs
-    ),
+    "main-thm": (sweeps.sweep_main_theorem, {"max_a": "amax", "max_b": "bmax"}),
+    "type2": (sweeps.sweep_type_two, {"limit": "limit"}),
+    "tensor": (sweeps.sweep_tensor, {"limit": "limit"}),
+    "lgv-oracle": (sweeps.sweep_lgv_oracle, {"limit": "max_value"}),
+    "almost-centered": (sweeps.sweep_almost_centered_lemma, {"limit": "limit"}),
+    "algebra-tensor": (sweeps.sweep_algebra_tensor_lemma, {"limit": "limit"}),
+    "csm": (sweeps.sweep_csm_criterion, {"limit": "limit"}),
 }
 
 
 def _run_sweep(args) -> tuple[dict, int]:
-    summary = _SWEEPS[args.target](args)
+    sweep, reads = _SWEEPS[args.target]
+    option = {b: "--" + b.replace("_", "-") for b in ("limit", "max_a", "max_b")}
+    given = {b: getattr(args, b) for b in option if getattr(args, b) is not None}
+    for bound in given:
+        if bound not in reads:
+            raise ValueError(
+                f"{args.target} takes no {option[bound]}; "
+                f"it reads {' and '.join(map(option.get, reads))}"
+            )
+    summary = sweep(**{reads[b]: v for b, v in given.items()}, jobs=args.jobs)
     return {"result": summary, "failures": summary["violations"]}, (
         0 if summary["ok"] else ASSERTION_ERROR
     )
@@ -505,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="exhaustive corpus sweeps")
     sweep.add_argument("target", choices=sorted(_SWEEPS))
     sweep.add_argument("--limit", type=int, default=None, help="parameter bound")
-    sweep.add_argument("--max-a", type=int, default=6)
-    sweep.add_argument("--max-b", type=int, default=6)
+    sweep.add_argument("--max-a", type=int, default=None, help="largest a (main-thm)")
+    sweep.add_argument("--max-b", type=int, default=None, help="largest b (main-thm)")
     sweep.add_argument("--jobs", type=_job_count, default=1, help="worker processes")
     sweep.set_defaults(handler=_run_sweep)
 

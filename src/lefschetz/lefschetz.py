@@ -339,12 +339,6 @@ def _jordan_type(h: Sequence[int], failures: Sequence[MapFailure]) -> tuple[int,
     )
 
 
-def _scanned_jordan_type(module: QuotientModule, ell: LinearForm) -> tuple[int, ...]:
-    """Jordan type of (times ell) from one pruned SLP scan of the module."""
-    failures = _scan_maps([Summand(module, form=ell)], only_d_one=False)
-    return _jordan_type(module.hilbert_series().coeffs, failures)
-
-
 def _split_jordan_type(
     module: QuotientModule, ell: LinearForm
 ) -> Optional[tuple[tuple[int, ...], HilbertSeries]]:
@@ -355,8 +349,9 @@ def _split_jordan_type(
     sum of its restrictions.  The Jordan type is the Clebsch-Gordan product
     of the factors' and the series is the product of theirs, so the product
     box is never walked.  A one-variable factor k[x_v]/(x_v^c) is the single
-    block (c) with series 1 + ... + t^(c-1).  None when the module is zero,
-    has one class, or ell vanishes on some class.
+    block (c) with series 1 + ... + t^(c-1); any other factor is read by
+    :func:`_module_jordan_type`.  None when the module is zero, has one
+    class, or ell vanishes on some class.
     """
     caps = module.denominator.pure_power_caps
     # Only the unit ideal has a cap of 0, and it makes the module zero.
@@ -381,11 +376,29 @@ def _split_jordan_type(
             factor_blocks, factor_series = (c,), HilbertSeries(0, (1,) * c)
         else:
             factor = QuotientModule(numerator, _restricted(module.denominator, variables))
-            factor_blocks = _scanned_jordan_type(factor, LinearForm(coefficients))
-            factor_series = factor.hilbert_series()
+            factor_blocks, factor_series = _module_jordan_type(
+                factor, LinearForm(coefficients)
+            )
         blocks = _clebsch_gordan(blocks, factor_blocks)
         series = series * factor_series
     return blocks, series
+
+
+def _module_jordan_type(
+    module: QuotientModule, ell: LinearForm
+) -> tuple[tuple[int, ...], HilbertSeries]:
+    """Jordan type of (times ell) on the module, and the module's series.
+
+    Read from the factors when the module splits, else from the failures of
+    one SLP scan of the module.  A factor's variables form one maximal
+    class, so a factor never splits again.
+    """
+    split = _split_jordan_type(module, ell)
+    if split is not None:
+        return split
+    failures = direct_sum_check([Summand(module, form=ell)], property="SLP").failures
+    series = module.hilbert_series()
+    return _jordan_type(series.coeffs, failures), series
 
 
 def _meets_rank_rule(
@@ -425,21 +438,6 @@ def check_slp(module: QuotientModule, ell: Optional[LinearForm] = None) -> Lefsc
     if split is not None and _meets_rank_rule(split[0], split[1].coeffs):
         return LefschetzReport(property="SLP", holds=True, failures=(), linear_form=(ell,))
     return direct_sum_check([summand], property="SLP")
-
-
-def _truncation_base(summand: Summand) -> tuple[tuple[int, ...], HilbertSeries]:
-    """Jordan type of the summand's form on its module, and the module's series.
-
-    Read from the factors when the module splits, else from the failures of
-    one SLP scan of the module.
-    """
-    module, ell = summand.module, summand.resolved_form()
-    split = _split_jordan_type(module, ell)
-    if split is not None:
-        return split
-    failures = direct_sum_check([summand], property="SLP").failures
-    series = module.hilbert_series()
-    return _jordan_type(series.coeffs, failures), series
 
 
 def _failing_heights(
@@ -485,7 +483,7 @@ def tensor_truncation_failures(
     heights = list(heights)
     for c in heights:
         module.refuse_truncation(c)
-    summand = Summand(module, form=ell)
+    ell = Summand(module, form=ell).resolved_form()
     if not heights:
         return []
     cells = math.prod(module.denominator.pure_power_caps) * max(heights)
@@ -494,7 +492,7 @@ def tensor_truncation_failures(
             f"the pure-power box of {module} times k[t]/(t^{max(heights)}) has "
             f"{cells} cells, over the limit of {MAX_BOX_CELLS}"
         )
-    blocks, series = _truncation_base(summand)
+    blocks, series = _module_jordan_type(module, ell)
     return _failing_heights(blocks, series, heights, only_d_one=property == "WLP")
 
 
@@ -587,19 +585,22 @@ def csm_decompose(ideal: MonomialIdeal, v: int) -> CSMReport:
 def csm_slp_criterion(ideal: MonomialIdeal, v: int) -> bool:
     """Sufficient condition for SLP of S/I via central simple modules.
 
-    True iff every tilde module has the SLP with the all-ones form and their
-    direct sum passes the block-diagonal SLP scan.  False does not imply
-    that S/I lacks the SLP.
+    True iff the direct sum of the tilde modules has the SLP with the
+    all-ones form; False does not imply that S/I lacks the SLP.  The sum's
+    map (times ell^d) is block diagonal, so its Jordan type is the tildes'
+    types put together and its rank is the sum of theirs: the rank rule
+    (see :func:`_meets_rank_rule`) on that type and the summed series
+    decides it.  Each tilde then has the SLP too, since the sum of their
+    ranks, each at most min(a_k, b_k), reaches min(sum a_k, sum b_k) only
+    if every one does.
     """
     report = csm_decompose(ideal, v)
-    tildes = [entry.tilde for entry in report.entries]
-    if not all(check_slp(t).holds for t in tildes):
-        return False
-    # The block-diagonal scan is exactly "the direct sum of the tildes has
-    # the SLP", which is what the sufficiency theorem consumes; the
-    # reflecting-degree shortcut is slightly stricter for summands with
-    # tiny support.
-    return direct_sum_check([Summand(t) for t in tildes], property="SLP").holds
+    types = [
+        _module_jordan_type(entry.tilde, LinearForm.all_ones(entry.tilde.nvars))
+        for entry in report.entries
+    ]
+    blocks = [s for entry_blocks, _ in types for s in entry_blocks]
+    return _meets_rank_rule(blocks, sum_series(series for _, series in types).coeffs)
 
 
 class TensorCondition(Enum):

@@ -255,7 +255,6 @@ def _transformed_cl_matrix(a: int, b: int, i: int, d: int) -> ExactMatrix:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    trimmed: LabeledMatrix
     restricted: LabeledMatrix
     transformed: ExactMatrix
     offsets: tuple[int, ...]
@@ -307,7 +306,6 @@ def _pipeline_tail(a: int, b: int, i: int, d: int, kept: tuple[int, ...]) -> Pip
     rank = restricted.matrix.rank()
     maximal = rank == min(restricted.matrix.rows, restricted.matrix.cols)
     return PipelineResult(
-        trimmed=trimmed,
         restricted=restricted,
         transformed=transformed,
         offsets=offsets,

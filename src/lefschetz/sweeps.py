@@ -14,9 +14,10 @@ from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, Optional
 
 from .lefschetz import (
-    Summand,
+    LinearForm,
     _failing_heights,
-    _truncation_base,
+    _meets_rank_rule,
+    _module_jordan_type,
     check_slp,
     csm_slp_criterion,
     tensor_slp_condition,
@@ -130,11 +131,9 @@ def _main_theorem_case(args: tuple[int, int, tuple[int, ...]]) -> Optional[dict]
     }
 
 
-def _main_theorem_items(
-    amin: int, amax: int, bmin: int, bmax: int
-) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    for a in range(amin, amax + 1):
-        for b in range(bmin, bmax + 1):
+def _main_theorem_items(amax: int, bmax: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    for a in range(2, amax + 1):
+        for b in range(2, bmax + 1):
             for heights in _staircase_heights(a, b):
                 yield (a, b, heights)
 
@@ -152,10 +151,8 @@ def _main_theorem_labels(item: tuple[int, int, tuple[int, ...]]) -> dict:
     return {"a": a, "b": b, "ideal": str(staircase_ideal(a, b, heights))}
 
 
-def sweep_main_theorem(
-    amin: int = 2, amax: int = 6, bmin: int = 2, bmax: int = 6, jobs: int = 1
-) -> dict:
-    items = list(_main_theorem_items(amin, amax, bmin, bmax))
+def sweep_main_theorem(amax: int = 6, bmax: int = 6, jobs: int = 1) -> dict:
+    items = list(_main_theorem_items(amax, bmax))
     violations = _run_mirrored(
         _main_theorem_case, items, _staircase_transpose, _main_theorem_labels, jobs
     )
@@ -192,10 +189,8 @@ def _pipeline_case(args: tuple[int, int, tuple[int, ...]]) -> list[dict]:
     return violations
 
 
-def sweep_pipeline(
-    amin: int = 2, amax: int = 6, bmin: int = 2, bmax: int = 6, jobs: int = 1
-) -> dict:
-    items = list(_main_theorem_items(amin, amax, bmin, bmax))
+def sweep_pipeline(amax: int = 6, bmax: int = 6, jobs: int = 1) -> dict:
+    items = list(_main_theorem_items(amax, bmax))
     results = _run(_pipeline_case, items, jobs)
     return _summary(len(items), [v for sub in results for v in sub])
 
@@ -356,10 +351,10 @@ def algebra_corpus(limit: int = 4) -> Iterator[QuotientModule]:
 
 
 def _algebra_tensor_case(module: QuotientModule) -> Optional[dict]:
-    # One Jordan type decides both: the SLP of M (x) k[t]/(t), which is M,
-    # and the WLP of every truncation.
-    blocks, series = _truncation_base(Summand(module))
-    predicted = not _failing_heights(blocks, series, [1], only_d_one=False)
+    # One Jordan type decides both: the SLP of M and the WLP of every
+    # truncation.
+    blocks, series = _module_jordan_type(module, LinearForm.all_ones(module.nvars))
+    predicted = _meets_rank_rule(blocks, series.coeffs)
     heights = range(1, module.socle_degree() + 3)
     actual = not _failing_heights(blocks, series, heights, only_d_one=True)
     if predicted == actual:

@@ -357,6 +357,37 @@ def test_main_theorem_sweep_refuses_limit(capsys):
     assert "--max-a" in err and "--max-b" in err
 
 
+SWEEP_BOUNDS = {
+    "main-thm": ("--max-a", "--max-b"),
+    "type2": ("--limit",),
+    "tensor": ("--limit",),
+    "lgv-oracle": ("--limit",),
+    "almost-centered": ("--limit",),
+    "algebra-tensor": ("--limit",),
+    "csm": ("--limit",),
+}
+
+
+@pytest.mark.parametrize(
+    "verb, bound",
+    [
+        (verb, bound)
+        for verb, reads in sorted(SWEEP_BOUNDS.items())
+        for bound in ("--limit", "--max-a", "--max-b")
+        if bound not in reads
+    ],
+)
+def test_sweep_refuses_a_bound_it_does_not_read(capsys, verb, bound):
+    from lefschetz.cli import _SWEEPS
+
+    assert SWEEP_BOUNDS.keys() == _SWEEPS.keys()
+    code, out, err = run(capsys, "sweep", verb, bound, "2", "--format", "json")
+    assert code == 2
+    assert out == ""
+    reads = " and ".join(SWEEP_BOUNDS[verb])
+    assert err == f"error: {verb} takes no {bound}; it reads {reads}\n"
+
+
 def test_lgv_oracle_sweep_reads_limit(capsys):
     code, out, _ = run(capsys, "sweep", "lgv-oracle", "--limit", "2", "--format", "json")
     assert code == 0

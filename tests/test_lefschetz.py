@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,6 +328,28 @@ def test_csm_series_sum_recovers_algebra():
             for entry in report.entries[1:]:
                 recovered = recovered + entry.hilbert.times_truncation(entry.exponent)
             assert recovered == total
+
+
+def block_scan_csm_criterion(ideal, v):
+    """The criterion as first defined: every tilde has the SLP by
+    ``check_slp`` and the block-diagonal scan of their sum passes."""
+    tildes = [entry.tilde for entry in csm_decompose(ideal, v).entries]
+    if not all(check_slp(t).holds for t in tildes):
+        return False
+    return direct_sum_check([Summand(t) for t in tildes], property="SLP").holds
+
+
+def test_csm_criterion_matches_the_block_scan_on_type_two_ideals():
+    from lefschetz.sweeps import _type_two_params
+
+    verdicts = Counter()
+    for params in _type_two_params(3):
+        ideal = type_two_ideal(*params)
+        for v in range(3):
+            verdict = csm_slp_criterion(ideal, v)
+            assert verdict == block_scan_csm_criterion(ideal, v), (params, v)
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_csm_criterion_example():

@@ -30,7 +30,7 @@ from lefschetz import (
     type_two_ideal,
     variable_power,
 )
-from lefschetz.lefschetz import _scanned_jordan_type, _split_jordan_type
+from lefschetz.lefschetz import _jordan_type, _module_jordan_type, _split_jordan_type
 from lefschetz.series import sum_series
 from lefschetz.sweeps import (
     _tensor_module,
@@ -332,10 +332,14 @@ def test_jordan_type_matches_every_ranked_map(nvars, seed, split):
     module = split_module(rng, nvars)[0] if split else random_module(rng, min(nvars, 3))
     form = random_form(rng, module.nvars)
     expected = unpruned_jordan_type(module, form)
-    assert _scanned_jordan_type(module, form) == expected
+    series = module.hilbert_series()
+    assert _module_jordan_type(module, form) == (expected, series)
+    # the scan route, which split modules skip in the helper
+    scanned = direct_sum_check([Summand(module, form=form)], "SLP").failures
+    assert _jordan_type(series.coeffs, scanned) == expected
     parts = _split_jordan_type(module, form)
     if parts is not None:
-        assert parts == (expected, module.hilbert_series())
+        assert parts == (expected, series)
 
 
 def test_split_decision_matches_scan_on_lemma_corpora():

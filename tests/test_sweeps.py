@@ -35,6 +35,7 @@ from lefschetz.sweeps import (
     staircase_ideals,
     sweep_algebra_tensor_lemma,
     sweep_almost_centered_lemma,
+    sweep_csm_criterion,
     sweep_lgv_oracle,
     sweep_main_theorem,
     sweep_tensor,
@@ -82,6 +83,11 @@ def test_small_sweeps_are_clean():
     assert sweep_type_two(limit=3)["ok"]
     assert sweep_tensor(limit=3)["ok"]
     assert sweep_lgv_oracle(max_value=4, max_len=2)["ok"]
+
+
+def test_csm_sweep_is_clean():
+    summary = sweep_csm_criterion(limit=3)
+    assert summary["ok"] and summary["cases"] == 27
 
 
 def test_parallel_matches_serial():
@@ -186,7 +192,7 @@ def test_type_two_mirror_keeps_failures_and_conditions():
 
 
 def test_staircase_transpose_keeps_failures():
-    items = list(_main_theorem_items(2, 5, 2, 5))
+    items = list(_main_theorem_items(5, 5))
     assert len(items) == 874
     # x alone fails on most staircases, so the comparison is not vacuous
     for form, mirrored_form in [((1, 1), (1, 1)), ((1, 0), (0, 1))]:
@@ -227,7 +233,7 @@ def test_mirrored_sweeps_match_every_item_run():
     assert sweep_type_two(limit=5) == _every_item(_type_two_case, _type_two_params(5))
     assert sweep_tensor(limit=5) == _every_item(_tensor_case, _tensor_params(5))
     assert sweep_main_theorem(amax=4, bmax=4) == _every_item(
-        _main_theorem_case, _main_theorem_items(2, 4, 2, 4)
+        _main_theorem_case, _main_theorem_items(4, 4)
     )
 
 
@@ -256,7 +262,7 @@ def test_mirrored_violations_keep_their_own_labels(monkeypatch):
     monkeypatch.setattr(sweeps_module, "_run", recording_run)
     # a 4 x 3 box has its transpose outside the corpus: it is run as itself
     for amax, bmax in [(4, 4), (4, 3)]:
-        items = list(_main_theorem_items(2, amax, 2, bmax))
+        items = list(_main_theorem_items(amax, bmax))
         summary = sweep_main_theorem(amax=amax, bmax=bmax)
         assert summary["violations"]
         assert summary == _every_item(_main_theorem_case, items)
