@@ -214,6 +214,7 @@ def _run_pipeline_verb(args) -> tuple[dict, int]:
 # that function's keywords.  An unset bound keeps the function's default.
 _SWEEPS = {
     "main-thm": (sweeps.sweep_main_theorem, {"max_a": "amax", "max_b": "bmax"}),
+    "pipeline": (sweeps.sweep_pipeline, {"max_a": "amax", "max_b": "bmax"}),
     "type2": (sweeps.sweep_type_two, {"limit": "limit"}),
     "tensor": (sweeps.sweep_tensor, {"limit": "limit"}),
     "lgv-oracle": (sweeps.sweep_lgv_oracle, {"limit": "max_value"}),
@@ -498,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="exhaustive corpus sweeps")
     sweep.add_argument("target", choices=sorted(_SWEEPS))
     sweep.add_argument("--limit", type=int, default=None, help="parameter bound")
-    sweep.add_argument("--max-a", type=int, default=None, help="largest a (main-thm)")
-    sweep.add_argument("--max-b", type=int, default=None, help="largest b (main-thm)")
+    sweep.add_argument("--max-a", type=int, default=None, help="largest a (main-thm, pipeline)")
+    sweep.add_argument("--max-b", type=int, default=None, help="largest b (main-thm, pipeline)")
     sweep.add_argument("--jobs", type=_job_count, default=1, help="worker processes")
     sweep.set_defaults(handler=_run_sweep)
 

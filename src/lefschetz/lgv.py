@@ -13,21 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import comb
 from operator import lt
 from typing import Sequence
 
 from .exact import ExactMatrix, binomial
-from .monomials import Monomial, MonomialIdeal, divisible_by_any
+from .monomials import Monomial, MonomialIdeal
 
 ENUMERATION_CAP = 24
 # Bounds of the caches below.  The boxes of side at most 6 have 465
 # (a, b, i, d) quadruples between them, and a path set is keyed by its two
-# endpoints.  Their staircases give 24,766 distinct (a, b, i, ideal) row
-# sets and 4,340 distinct (a, b, i, d, kept rows) pipeline inputs, so a
-# sweep of those boxes never evicts an entry it will ask for again.
+# endpoints.  Their staircases give 4,340 distinct (a, b, i, d, kept rows)
+# pipeline inputs, so a sweep of those boxes never evicts an entry it will
+# ask for again.
 MATRIX_CACHE_SIZE = 4096
 PATH_CACHE_SIZE = 1024
-KEPT_ROWS_CACHE_SIZE = 32768
 PIPELINE_CACHE_SIZE = 8192
 # Path vertices are bits of one integer: (x, y) is bit y * radix - x.  A
 # vertex of a counted path has -cap <= x <= 0 <= y <= cap, so the map is
@@ -51,9 +51,11 @@ def _validate_sequences(a: Sequence[int], b: Sequence[int]) -> None:
 
 
 def binomial_matrix(a: Sequence[int], b: Sequence[int]) -> ExactMatrix:
-    """The matrix with entry (i, j) = binomial(a_i, b_j)."""
+    """The matrix with entry (i, j) = binomial(a_i, b_j), zero unless 0 <= b_j <= a_i."""
     _validate_sequences(a, b)
-    return ExactMatrix.from_rows([[binomial(ai, bj) for bj in b] for ai in a])
+    return ExactMatrix(
+        len(a), len(b), tuple(comb(ai, bj) if bj >= 0 else 0 for ai in a for bj in b)
+    )
 
 
 def lgv_positivity(a: Sequence[int], b: Sequence[int]) -> PathSign:
@@ -101,8 +103,9 @@ def count_nonintersecting(a: Sequence[int], b: Sequence[int]) -> int:
     """Count families of pairwise vertex-disjoint paths, path j from
     (-b_j, b_j) to (0, a_j), by exhaustive enumeration.
 
-    Every family is visited; two paths are disjoint when their vertex
-    bitmasks share no bit.
+    Two paths are disjoint when their vertex bitmasks share no bit.  The
+    families are built path by path as unions of masks, so every family is
+    visited; those of the last path are counted, not stored.
     """
     _validate_sequences(a, b)
     if any(bi < 0 for bi in b):
@@ -110,18 +113,13 @@ def count_nonintersecting(a: Sequence[int], b: Sequence[int]) -> int:
     if sum(a) > ENUMERATION_CAP:
         raise ValueError(f"total path length exceeds the enumeration cap {ENUMERATION_CAP}")
     per_path = [_path_masks((-bj, bj), (0, aj)) for aj, bj in zip(a, b)]
-    last = len(per_path) - 1
-
-    def count(j: int, used: int) -> int:
-        if j == last:
-            return sum(1 for mask in per_path[j] if not used & mask)
-        total = 0
-        for mask in per_path[j]:
-            if not used & mask:
-                total += count(j + 1, used | mask)
-        return total
-
-    return count(0, 0)
+    if not all(per_path):
+        return 0
+    *heads, last = per_path
+    families = [0]
+    for paths in heads:
+        families = [used | mask for used in families for mask in paths if not used & mask]
+    return sum(1 for used in families for mask in last if not used & mask)
 
 
 def _take_rows(matrix: ExactMatrix, kept: Sequence[int]) -> ExactMatrix:
@@ -200,20 +198,7 @@ def kept_rows(a: int, b: int, i: int, ideal: MonomialIdeal) -> tuple[int, ...]:
     """
     if ideal.nvars != 2:
         raise ValueError("mixed ambient rings")
-    return _kept_rows(a, b, i, ideal.generator_exponents)
-
-
-@lru_cache(maxsize=KEPT_ROWS_CACHE_SIZE)
-def _kept_rows(
-    a: int, b: int, i: int, generators: tuple[tuple[int, ...], ...]
-) -> tuple[int, ...]:
-    """:func:`kept_rows`, cached on the ideal's sorted generator exponents
-    so that the cache holds integers and keeps no ideal alive."""
-    return tuple(
-        n
-        for n, m in enumerate(_box_monomials(a, b, i))
-        if divisible_by_any(m.exponents, generators)
-    )
+    return tuple(n for n, m in enumerate(_box_monomials(a, b, i)) if ideal.contains(m))
 
 
 def pascal_column_transform(matrix: ExactMatrix) -> ExactMatrix:
@@ -270,12 +255,18 @@ def run_pipeline(
     M = (I + (x^a, y^b))/(x^a, y^b).
 
     The ideal enters only through the indices of the rows it keeps, which
-    depend on (a, b, i) and not on d.  The rest of the chain is a pure
-    function of (a, b, i, d, kept rows), computed once per distinct input
-    and shared by every staircase that keeps the same rows.
+    depend on (a, b, i) and not on d.  The map is validated before that
+    membership pass; the rest is :func:`certify_rows`.
     """
     _check_map(a, b, i, d)
-    return _pipeline_tail(a, b, i, d, kept_rows(a, b, i, ideal))
+    return certify_rows(a, b, i, d, kept_rows(a, b, i, ideal))
+
+
+def certify_rows(a: int, b: int, i: int, d: int, kept: tuple[int, ...]) -> PipelineResult:
+    """The certificate chain on the rows ``kept`` of ``cl_matrix(a, b, i, d)``,
+    computed once per distinct input and shared by every ideal keeping them."""
+    _check_map(a, b, i, d)
+    return _pipeline_tail(a, b, i, d, kept)
 
 
 @lru_cache(maxsize=PIPELINE_CACHE_SIZE)

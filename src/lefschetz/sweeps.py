@@ -26,7 +26,7 @@ from .lefschetz import (
     type_two_slp_conditions,
     TensorCondition,
 )
-from .lgv import binomial_matrix, count_nonintersecting, kept_rows, run_pipeline
+from .lgv import binomial_matrix, certify_rows, count_nonintersecting
 from .monomials import Monomial, MonomialIdeal, QuotientModule, algebra_quotient
 from .series import is_almost_centered
 
@@ -38,14 +38,8 @@ def staircase_ideals(a: int, b: int) -> Iterator[MonomialIdeal]:
 
 
 def _staircase_heights(a: int, b: int) -> Iterator[tuple[int, ...]]:
-    def rec(prefix: tuple[int, ...], bound: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            yield prefix
-            return
-        for h in range(bound, -1, -1):
-            yield from rec(prefix + (h,), h, slots - 1)
-
-    yield from rec((), b, a)
+    """The a non-increasing column heights in 0..b, the tallest first."""
+    return itertools.combinations_with_replacement(range(b, -1, -1), a)
 
 
 def staircase_ideal(a: int, b: int, heights: tuple[int, ...]) -> MonomialIdeal:
@@ -161,25 +155,34 @@ def sweep_main_theorem(amax: int = 6, bmax: int = 6, jobs: int = 1) -> dict:
 
 # --- pipeline: the LGV certificate chain on the same corpus ---
 
+def _staircase_kept_rows(a: int, b: int, heights: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Per degree e <= a+b-2, the rows of ``lgv.cl_matrix(a, b, e, d)`` in the
+    staircase ideal: row n is x^(e-j) y^j with j = max(e-a+1, 0) + n, kept
+    iff j >= heights[e-j]."""
+    return [
+        tuple(n for n, j in enumerate(range(max(e - a + 1, 0), min(e, b - 1) + 1))
+              if j >= heights[e - j])
+        for e in range(a + b - 1)
+    ]
+
+
 def _pipeline_case(args: tuple[int, int, tuple[int, ...]]) -> list[dict]:
     a, b, heights = args
-    ideal = staircase_ideal(a, b, heights)
-    # dims[e] = dim M_e.  The source degrees share the kept rows of
-    # run_pipeline; the top degree of the box holds x^(a-1) y^(b-1) alone.
-    dims = {e: len(kept_rows(a, b, e, ideal)) for e in range(1, a + b - 2)}
-    dims[a + b - 2] = int(ideal.contains(Monomial((a - 1, b - 1))))
+    # len(kept[e]) = dim M_e.  Every map runs the chain's checks; a map
+    # from or to zero is not judged.
+    kept = _staircase_kept_rows(a, b, heights)
     violations = []
     for i in range(1, a + b - 2):
         for d in range(1, a + b - 2 - i + 1):
-            result = run_pipeline(a, b, ideal, i, d)
-            if dims[i] == 0 or dims[i + d] == 0:
+            result = certify_rows(a, b, i, d, kept[i])
+            if not kept[i] or not kept[i + d]:
                 continue
             if not result.certificate or not result.maximal:
                 violations.append(
                     {
                         "a": a,
                         "b": b,
-                        "ideal": str(ideal),
+                        "ideal": str(staircase_ideal(a, b, heights)),
                         "i": i,
                         "d": d,
                         "certificate": result.certificate,

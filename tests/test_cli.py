@@ -341,6 +341,7 @@ def test_short_linear_form_exits_two(capsys):
         ("main-thm", "--max-a", "1"),
         ("tensor", "--limit", "0"),
         ("type2", "--limit", "0"),
+        ("pipeline", "--max-b", "1"),
     ],
 )
 def test_empty_sweep_exits_two(capsys, argv):
@@ -359,6 +360,7 @@ def test_main_theorem_sweep_refuses_limit(capsys):
 
 SWEEP_BOUNDS = {
     "main-thm": ("--max-a", "--max-b"),
+    "pipeline": ("--max-a", "--max-b"),
     "type2": ("--limit",),
     "tensor": ("--limit",),
     "lgv-oracle": ("--limit",),
@@ -386,6 +388,21 @@ def test_sweep_refuses_a_bound_it_does_not_read(capsys, verb, bound):
     assert out == ""
     reads = " and ".join(SWEEP_BOUNDS[verb])
     assert err == f"error: {verb} takes no {bound}; it reads {reads}\n"
+
+
+def test_pipeline_sweep_reads_max_a_and_max_b(capsys):
+    from lefschetz.sweeps import sweep_pipeline
+
+    code, out, _ = run(
+        capsys, "sweep", "pipeline", "--max-a", "3", "--max-b", "4", "--format", "json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert (report["inputs"]["max_a"], report["inputs"]["max_b"]) == (3, 4)
+    assert report["result"] == sweep_pipeline(amax=3, bmax=4)
+    # staircases of the 2 x 2, 2 x 3, 2 x 4, 3 x 2, 3 x 3 and 3 x 4 boxes
+    assert report["result"]["cases"] == 6 + 10 + 15 + 10 + 20 + 35
+    assert report["result"]["ok"] is True
 
 
 def test_lgv_oracle_sweep_reads_limit(capsys):

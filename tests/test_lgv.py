@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,12 @@ ascending = st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True).map
 def test_binomial_matrix_values():
     m = binomial_matrix((2, 4), (1, 3))
     assert m.to_rows() == [[2, 0], [4, 4]]
+    # b_j < 0 and b_j > a_i give 0, as exact.binomial does
+    for m in range(1, 4):
+        for a in itertools.combinations(range(0, 7), m):
+            for b in itertools.combinations(range(-3, 9), m):
+                entries = binomial_matrix(a, b).entries
+                assert entries == tuple(binomial(ai, bj) for ai in a for bj in b)
 
 
 def test_validation_rejects_bad_sequences():
@@ -141,12 +148,25 @@ def test_bitmask_oracle_matches_frozenset_oracle():
         ((2,), (3,)),
         ((5,), (5,)),  # a single path
         ((0,), (0,)),
+        ((1, 2, 5), (0, 3, 4)),  # no path for the middle pair
     ],
 )
 def test_bitmask_oracle_edge_cases(a, b):
     count = count_nonintersecting(a, b)
     assert count == frozenset_count_nonintersecting(a, b)
     assert count == binomial_matrix(a, b).determinant()
+
+
+def test_last_level_is_counted_not_stored():
+    # 198,198 families: storing the last level would take megabytes
+    tracemalloc.start()
+    try:
+        count = count_nonintersecting((11, 13), (5, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 198198 == binomial_matrix((11, 13), (5, 6)).determinant()
+    assert peak < 1 << 20
 
 
 def test_vertex_bits_are_injective_under_the_cap():

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from math import comb
 
@@ -12,15 +13,19 @@ from lefschetz import (
     QuotientModule,
     algebra_quotient,
     check_slp,
+    run_pipeline,
     tensor_slp_condition,
     tensor_truncation_failures,
     type_two_ideal,
     type_two_slp_conditions,
 )
+from lefschetz.lgv import kept_rows
 from lefschetz.sweeps import (
     _main_theorem_case,
     _main_theorem_items,
+    _pipeline_case,
     _staircase_heights,
+    _staircase_kept_rows,
     _staircase_transpose,
     _summary,
     _tensor_case,
@@ -76,6 +81,41 @@ def test_staircase_ideal_equals_minimalised_heights():
                 gens.append(Monomial((a, 0)))
                 expected = MonomialIdeal.from_generators(gens, nvars=2)
                 assert staircase_ideal(a, b, heights) == expected
+
+
+def test_kept_rows_from_heights_match_membership():
+    # every staircase of criterion 04's boxes, and every degree up to the top
+    for a in range(2, 7):
+        for b in range(2, 7):
+            for heights in _staircase_heights(a, b):
+                ideal = staircase_ideal(a, b, heights)
+                rows = _staircase_kept_rows(a, b, heights)
+                assert rows == [kept_rows(a, b, e, ideal) for e in range(a + b - 1)]
+                assert len(rows[a + b - 2]) == ideal.contains(Monomial((a - 1, b - 1)))
+
+
+def test_pipeline_case_labels_each_violation_with_its_ideal(monkeypatch):
+    # A certificate that always fails makes every map between nonzero
+    # degrees a violation; the dimensions come from the module's own basis.
+    certify = sweeps_module.certify_rows
+    monkeypatch.setattr(
+        sweeps_module,
+        "certify_rows",
+        lambda *args: dataclasses.replace(certify(*args), certificate=False),
+    )
+    for a, b, heights in [(3, 4, (3, 1, 0)), (4, 3, (3, 3, 2, 0)), (2, 2, (2, 2))]:
+        ideal = staircase_ideal(a, b, heights)
+        box = MonomialIdeal.from_generators([Monomial((a, 0)), Monomial((0, b))])
+        module = QuotientModule(ideal, box)
+        top = a + b - 2
+        expected = [
+            {"a": a, "b": b, "ideal": str(ideal), "i": i, "d": d, "certificate": False,
+             "rank": run_pipeline(a, b, ideal, i, d).rank}
+            for i in range(1, top)
+            for d in range(1, top - i + 1)
+            if module.degree_basis(i) and module.degree_basis(i + d)
+        ]
+        assert _pipeline_case((a, b, heights)) == expected
 
 
 def test_small_sweeps_are_clean():
