@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import le, mul
+from itertools import accumulate
+from operator import add, le, mul
 from typing import Iterable, Optional, Sequence
 
 from .exact import ExactMatrix, multinomial
@@ -306,52 +307,87 @@ def _restricted(ideal: MonomialIdeal, variables: tuple[int, ...]) -> MonomialIde
     )
 
 
-def _clebsch_gordan(left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
-    """Jordan type of l_A + l_B on M_A (x) M_B from those of l_A and l_B.
+Strings = tuple[tuple[int, int], ...]
 
-    In characteristic 0, J_m (x) J_n = J_(m+n-1) + J_(m+n-3) + ... +
-    J_(|m-n|+1), one block per pair of blocks and step.
+
+def _tensor_strings(left: Strings, right: Strings) -> Strings:
+    """Graded Jordan type of l_A + l_B on M_A (x) M_B from those of l_A and l_B.
+
+    A string (s, m) spans the degrees s, ..., s + m - 1.  In characteristic
+    0, (s, m) (x) (t, n) is the strings (s + t + k, m + n - 1 - 2k) for
+    k < min(m, n): the graded Clebsch-Gordan rule.
     """
     return tuple(
-        sorted(
-            (m + n - 1 - 2 * k for m in left for n in right for k in range(min(m, n))),
-            reverse=True,
+        (s + t + k, m + n - 1 - 2 * k)
+        for s, m in left
+        for t, n in right
+        for k in range(min(m, n))
+    )
+
+
+def _strings(series: HilbertSeries, failures: Sequence[MapFailure]) -> Strings:
+    """Graded Jordan type of (times ell) from the failures of one pruned SLP scan.
+
+    A map (times ell^d): M_i -> M_(i+d) that the scan skips or passes has
+    rank r(i, d) = min(h_i, h_(i+d)), a failing map carries its exact rank,
+    and r(i, 0) = h_i.  Since r(i, d) counts the strings that cover both i
+    and i + d, the strings of length d + 1 that start in degree i number
+    r(i, d) - r(i-1, d+1) - r(i, d+1) + r(i-1, d+2).
+    """
+    p, n = series.start, len(series.coeffs)
+    # r[a][b] = r(p + a - 1, b - a), with a zero degree on either side
+    h = (0, *series.coeffs, 0)
+    r = [[a if a < b else b for b in h] for a in h]
+    for f in failures:
+        r[f.i - p + 1][f.i + f.d - p + 1] = f.rank
+    return tuple(
+        (p + a - 1, b - a + 1)
+        for a in range(1, n + 1)
+        for b in range(a, n + 1)
+        for _ in range(r[a][b] - r[a - 1][b] - r[a][b + 1] + r[a - 1][b + 1])
+    )
+
+
+def _failures_of(strings: Strings, only_d_one: bool = False) -> tuple[MapFailure, ...]:
+    """The maps (times ell^d): M_i -> M_(i+d) that miss maximal rank, in (d, i) order.
+
+    The map's rank r(i, d) is the number of strings that cover both i and
+    i + d, and h_i = r(i, 0).  Every d is tested, or d = 1 alone.
+    """
+    if not strings:
+        return ()
+    p = min(s for s, _ in strings)
+    q = max(s + m for s, m in strings) - 1
+    spans = [[0] * (q + 1) for _ in range(q + 1)]
+    for s, m in strings:
+        spans[s][s + m - 1] += 1
+    # cover[i][j]: strings that start in degree i or lower and end in j or higher
+    cover = list(
+        accumulate(
+            (list(accumulate(reversed(row)))[::-1] for row in spans),
+            lambda above, row: list(map(add, above, row)),
         )
     )
-
-
-def _jordan_type(h: Sequence[int], failures: Sequence[MapFailure]) -> tuple[int, ...]:
-    """Jordan type of (times ell) from the failures of one pruned SLP scan.
-
-    ``h`` lists the module's Hilbert function over its support.  A map the
-    scan skips or passes has rank min(h_i, h_(i+d)) and a failing map
-    carries its exact rank, so the rank r_d of ell^d on the whole module is
-    known for every d.  The number of blocks of size s is
-    r_(s-1) - 2 r_s + r_(s+1).
-    """
-    ranks = [sum(h)] + [sum(map(min, h, h[d:])) for d in range(1, len(h))] + [0, 0]
-    for failure in failures:
-        ranks[failure.d] -= failure.expected - failure.rank
+    h = [row[i] for i, row in enumerate(cover)]
+    # a rank is at most min(h_i, h_(i+d)), so it misses it iff it is below both
     return tuple(
-        s
-        for s in range(len(h), 0, -1)
-        for _ in range(ranks[s - 1] - 2 * ranks[s] + ranks[s + 1])
+        MapFailure(i=i, d=d, rank=cover[i][i + d], expected=min(h[i], h[i + d]))
+        for d in ((1,) if only_d_one else range(1, q - p + 1))
+        for i in range(p, q - d + 1)
+        if cover[i][i + d] < h[i] and cover[i][i + d] < h[i + d]
     )
 
 
-def _split_jordan_type(
-    module: QuotientModule, ell: LinearForm
-) -> Optional[tuple[tuple[int, ...], HilbertSeries]]:
-    """Jordan type and series of a tensor-split module, read from its factors.
+def _split_strings(module: QuotientModule, ell: LinearForm) -> Optional[Strings]:
+    """Graded Jordan type of a tensor-split module, read from its factors.
 
     A module whose variable classes (see :func:`_components`) are apart is
     the tensor product of one module per class, and ell acts on it as the
-    sum of its restrictions.  The Jordan type is the Clebsch-Gordan product
-    of the factors' and the series is the product of theirs, so the product
-    box is never walked.  A one-variable factor k[x_v]/(x_v^c) is the single
-    block (c) with series 1 + ... + t^(c-1); any other factor is read by
-    :func:`_module_jordan_type`.  None when the module is zero, has one
-    class, or ell vanishes on some class.
+    sum of its restrictions, so its strings are the graded Clebsch-Gordan
+    product of the factors' and the product box is never walked.  A
+    one-variable factor k[x_v]/(x_v^c) is the single string (0, c); any
+    other factor is read by :func:`_module_strings`.  None when the module
+    is zero, has one class, or ell vanishes on some class.
     """
     caps = module.denominator.pure_power_caps
     # Only the unit ideal has a cap of 0, and it makes the module zero.
@@ -364,58 +400,35 @@ def _split_jordan_type(
     forms = [tuple(ell.coefficients[v] for v in c) for c in components]
     if not all(any(f) for f in forms):
         return None
-    blocks: tuple[int, ...] = (1,)
-    series = HilbertSeries(0, (1,))
+    strings: Strings = ((0, 1),)
     for variables, coefficients in zip(components, forms):
         numerator = _restricted(module.numerator, variables)
         if numerator.is_zero:
             # The numerator lives in another class, so this factor is an algebra.
             numerator = MonomialIdeal.unit(len(variables))
         if len(variables) == 1 and numerator.is_unit:
-            c = caps[variables[0]]
-            factor_blocks, factor_series = (c,), HilbertSeries(0, (1,) * c)
+            factor: Strings = ((0, caps[variables[0]]),)
         else:
-            factor = QuotientModule(numerator, _restricted(module.denominator, variables))
-            factor_blocks, factor_series = _module_jordan_type(
-                factor, LinearForm(coefficients)
+            factor = _module_strings(
+                QuotientModule(numerator, _restricted(module.denominator, variables)),
+                LinearForm(coefficients),
             )
-        blocks = _clebsch_gordan(blocks, factor_blocks)
-        series = series * factor_series
-    return blocks, series
+        strings = _tensor_strings(strings, factor)
+    return strings
 
 
-def _module_jordan_type(
-    module: QuotientModule, ell: LinearForm
-) -> tuple[tuple[int, ...], HilbertSeries]:
-    """Jordan type of (times ell) on the module, and the module's series.
+def _module_strings(module: QuotientModule, ell: LinearForm) -> Strings:
+    """Graded Jordan type of (times ell) on the module.
 
     Read from the factors when the module splits, else from the failures of
     one SLP scan of the module.  A factor's variables form one maximal
     class, so a factor never splits again.
     """
-    split = _split_jordan_type(module, ell)
+    split = _split_strings(module, ell)
     if split is not None:
         return split
     failures = direct_sum_check([Summand(module, form=ell)], property="SLP").failures
-    series = module.hilbert_series()
-    return _jordan_type(series.coeffs, failures), series
-
-
-def _meets_rank_rule(
-    blocks: Sequence[int], h: Sequence[int], only_d_one: bool = False
-) -> bool:
-    """Whether every map (times ell^d): M_i -> M_{i+d} has maximal rank.
-
-    ``blocks`` is the Jordan type of ell and ``h`` the Hilbert function over
-    the support.  The rank of ell^d on the whole module, the sum over blocks
-    of max(0, s - d), is the sum of the ranks of those maps, each at most
-    min(h_i, h_(i+d)); so all have maximal rank iff the two sums agree.
-    Every d is tested, or d = 1 alone.
-    """
-    powers = [1] if only_d_one else range(1, len(h))
-    return all(
-        sum(s - d for s in blocks if s > d) == sum(map(min, h, h[d:])) for d in powers
-    )
+    return _strings(module.hilbert_series(), failures)
 
 
 def check_wlp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
@@ -427,38 +440,20 @@ def check_wlp(module: QuotientModule, ell: Optional[LinearForm] = None) -> Lefsc
 def check_slp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
     """Decide that every power map (times ell^d): M_i -> M_{i+d} has maximal rank.
 
-    A split module whose Jordan type meets the rank rule (see
-    :func:`_meets_rank_rule`) for every d passes without a scan.  Any other
-    module, and a split one predicted to fail, is scanned, so every failure
-    is exact and in scan order.
+    A split module is decided from the graded product of its factors'
+    strings (see :func:`_split_strings`), failures included, and is never
+    scanned as a whole; any other module is scanned.  Either way every
+    failure is exact and in scan order.
     """
     ell = ell or LinearForm.all_ones(module.nvars)
     summand = Summand(module, form=ell)
-    split = _split_jordan_type(module, ell)
-    if split is not None and _meets_rank_rule(split[0], split[1].coeffs):
-        return LefschetzReport(property="SLP", holds=True, failures=(), linear_form=(ell,))
-    return direct_sum_check([summand], property="SLP")
-
-
-def _failing_heights(
-    blocks: Sequence[int],
-    series: HilbertSeries,
-    heights: Sequence[int],
-    only_d_one: bool,
-) -> list[int]:
-    """The heights c at which M (x) k[t]/(t^c) misses the rank rule.
-
-    ``blocks`` and ``series`` belong to M.  With the form ell + t the
-    truncation's Jordan type is the Clebsch-Gordan product of M's with the
-    single block (c), and its series is M's times 1 + ... + t^(c-1).
-    """
-    return [
-        c
-        for c in heights
-        if not _meets_rank_rule(
-            _clebsch_gordan(blocks, (c,)), series.times_truncation(c).coeffs, only_d_one
-        )
-    ]
+    strings = _split_strings(module, ell)
+    if strings is None:
+        return direct_sum_check([summand], property="SLP")
+    failures = _failures_of(strings)
+    return LefschetzReport(
+        property="SLP", holds=not failures, failures=failures, linear_form=(ell,)
+    )
 
 
 def tensor_truncation_failures(
@@ -469,11 +464,12 @@ def tensor_truncation_failures(
 ) -> list[int]:
     """The heights c at which ``module.tensor_truncation(c)`` fails the property.
 
-    The truncation is taken with the form (ell, 1).  The Jordan type of ell
-    on the module is read once (one scan at most), and every height is
-    decided from it by Clebsch-Gordan and the rank rule: every power under
-    the SLP, d = 1 under the WLP.  No truncation is built, and the verdicts
-    are those of ``check_slp`` and ``check_wlp`` on each truncation.  Heights
+    The truncation is taken with the form (ell, 1).  The strings of ell on
+    the module are read once (one scan at most); the truncation's are their
+    graded product with the single string (0, c), and :func:`_failures_of`
+    decides each height from them: every power under the SLP, d = 1 under
+    the WLP.  No truncation is built, and the verdicts are those of
+    ``check_slp`` and ``check_wlp`` on each truncation.  Heights
     are checked as ``tensor_truncation`` checks them, the form as a
     ``Summand`` does, and a truncation box that the scan would refuse is
     refused.
@@ -492,8 +488,11 @@ def tensor_truncation_failures(
             f"the pure-power box of {module} times k[t]/(t^{max(heights)}) has "
             f"{cells} cells, over the limit of {MAX_BOX_CELLS}"
         )
-    blocks, series = _module_jordan_type(module, ell)
-    return _failing_heights(blocks, series, heights, only_d_one=property == "WLP")
+    strings = _module_strings(module, ell)
+    only_d_one = property == "WLP"
+    return [
+        c for c in heights if _failures_of(_tensor_strings(strings, ((0, c),)), only_d_one)
+    ]
 
 
 def direct_sum_slp(
@@ -587,20 +586,15 @@ def csm_slp_criterion(ideal: MonomialIdeal, v: int) -> bool:
 
     True iff the direct sum of the tilde modules has the SLP with the
     all-ones form; False does not imply that S/I lacks the SLP.  The sum's
-    map (times ell^d) is block diagonal, so its Jordan type is the tildes'
-    types put together and its rank is the sum of theirs: the rank rule
-    (see :func:`_meets_rank_rule`) on that type and the summed series
-    decides it.  Each tilde then has the SLP too, since the sum of their
-    ranks, each at most min(a_k, b_k), reaches min(sum a_k, sum b_k) only
-    if every one does.
+    map (times ell^d) is block diagonal, so its strings are the tildes'
+    strings put together, and :func:`_failures_of` decides it.  Each tilde
+    then has the SLP too, since the sum of their ranks, each at most
+    min(a_k, b_k), reaches min(sum a_k, sum b_k) only if every one does.
     """
-    report = csm_decompose(ideal, v)
-    types = [
-        _module_jordan_type(entry.tilde, LinearForm.all_ones(entry.tilde.nvars))
-        for entry in report.entries
-    ]
-    blocks = [s for entry_blocks, _ in types for s in entry_blocks]
-    return _meets_rank_rule(blocks, sum_series(series for _, series in types).coeffs)
+    strings: Strings = ()
+    for entry in csm_decompose(ideal, v).entries:
+        strings += _module_strings(entry.tilde, LinearForm.all_ones(entry.tilde.nvars))
+    return not _failures_of(strings)
 
 
 class TensorCondition(Enum):

@@ -15,9 +15,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .lefschetz import (
     LinearForm,
-    _failing_heights,
-    _meets_rank_rule,
-    _module_jordan_type,
+    _failures_of,
+    _module_strings,
+    _tensor_strings,
     check_slp,
     csm_slp_criterion,
     tensor_slp_condition,
@@ -354,12 +354,14 @@ def algebra_corpus(limit: int = 4) -> Iterator[QuotientModule]:
 
 
 def _algebra_tensor_case(module: QuotientModule) -> Optional[dict]:
-    # One Jordan type decides both: the SLP of M and the WLP of every
+    # One graded Jordan type decides both: the SLP of M and the WLP of every
     # truncation.
-    blocks, series = _module_jordan_type(module, LinearForm.all_ones(module.nvars))
-    predicted = _meets_rank_rule(blocks, series.coeffs)
-    heights = range(1, module.socle_degree() + 3)
-    actual = not _failing_heights(blocks, series, heights, only_d_one=True)
+    strings = _module_strings(module, LinearForm.all_ones(module.nvars))
+    predicted = not _failures_of(strings)
+    actual = not any(
+        _failures_of(_tensor_strings(strings, ((0, c),)), only_d_one=True)
+        for c in range(1, module.socle_degree() + 3)
+    )
     if predicted == actual:
         return None
     return {"module": str(module), "slp": predicted, "tensor_wlp": actual}

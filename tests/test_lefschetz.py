@@ -198,10 +198,22 @@ def test_split_complete_intersection_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "rank_mod_p", no_matrix)
     assert check_slp(module).holds
     assert check_slp(module, LinearForm((1, -2, 3))).holds
-    blocks = lefschetz_module._split_jordan_type(module, LinearForm.all_ones(3))[0]
-    assert sum(blocks) == 8**3 and blocks[0] == 22
+    strings = lefschetz_module._split_strings(module, LinearForm.all_ones(3))
+    assert sum(m for _, m in strings) == 8**3
+    assert max(strings, key=lambda string: string[1]) == (0, 22)
     # the product box was never walked
     assert "_index" not in vars(module)
+
+
+def test_failing_split_module_is_decided_from_its_factors():
+    base = algebra_quotient(parse_ideal("x^4, y^4, z^4, x^2*y^2*z^2"))
+    for c in (3, 4, 6):
+        module = base.tensor_truncation(c)
+        report = check_slp(module)
+        # the product box was never walked
+        assert "_index" not in vars(module)
+        assert not report.holds
+        assert report == direct_sum_check([Summand(module)], "SLP")
 
 
 def test_truncation_failures_refuse_heights_below_one():

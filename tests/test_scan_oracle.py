@@ -30,8 +30,8 @@ from lefschetz import (
     type_two_ideal,
     variable_power,
 )
-from lefschetz.lefschetz import _jordan_type, _module_jordan_type, _split_jordan_type
-from lefschetz.series import sum_series
+from lefschetz.lefschetz import _failures_of, _module_strings, _split_strings, _strings
+from lefschetz.series import HilbertSeries, sum_series
 from lefschetz.sweeps import (
     _tensor_module,
     _tensor_params,
@@ -98,6 +98,14 @@ def unpruned_jordan_type(module, form):
     at_least = [ranks[s - 1] - ranks[s] for s in range(1, len(h) + 1)]
     blocks = at_least[0] if at_least else 0
     return tuple(sum(1 for count in at_least if count >= j) for j in range(1, blocks + 1))
+
+
+def strings_series(strings):
+    """The Hilbert series of a graded Jordan type: h_i counts the strings through i."""
+    top = max((s + m for s, m in strings), default=0)
+    return HilbertSeries.from_coefficients(
+        0, [sum(s <= i < s + m for s, m in strings) for i in range(top)]
+    )
 
 
 def filtered_basis(module, d):
@@ -315,7 +323,7 @@ def test_split_decision_matches_scan(nvars, seed, kind):
     coeffs = [1] * nvars if kind == "ones" else [rng.choice([-2, -1, 1, 2]) for _ in range(nvars)]
     if kind == "partial":
         # zero on one variable of a class, so that factor often fails and
-        # the split predicts a failure
+        # the split reports failures read from the factors
         coeffs[rng.choice(max(classes, key=len))] = 0
     if kind == "zero":
         # zero on a whole class, which leaves the module to the scan
@@ -331,15 +339,20 @@ def test_jordan_type_matches_every_ranked_map(nvars, seed, split):
     rng = random.Random(seed)
     module = split_module(rng, nvars)[0] if split else random_module(rng, min(nvars, 3))
     form = random_form(rng, module.nvars)
-    expected = unpruned_jordan_type(module, form)
-    series = module.hilbert_series()
-    assert _module_jordan_type(module, form) == (expected, series)
+    summands = [Summand(module, form=form)]
+    strings = _module_strings(module, form)
+    # the string lengths are the ungraded Jordan type
+    lengths = tuple(sorted((m for _, m in strings), reverse=True))
+    assert lengths == unpruned_jordan_type(module, form)
+    # every r(i, d) and h_i = r(i, 0) pin the graded type
+    assert _failures_of(strings) == unpruned_failures(summands, only_d_one=False)
+    assert strings_series(strings) == module.hilbert_series()
     # the scan route, which split modules skip in the helper
-    scanned = direct_sum_check([Summand(module, form=form)], "SLP").failures
-    assert _jordan_type(series.coeffs, scanned) == expected
-    parts = _split_jordan_type(module, form)
-    if parts is not None:
-        assert parts == (expected, series)
+    scanned = direct_sum_check(summands, "SLP").failures
+    assert sorted(_strings(module.hilbert_series(), scanned)) == sorted(strings)
+    split = _split_strings(module, form)
+    if split is not None:
+        assert sorted(split) == sorted(strings)
 
 
 def test_split_decision_matches_scan_on_lemma_corpora():
@@ -359,9 +372,9 @@ def test_split_decision_matches_scan_on_lemma_corpora():
                 report = check_slp(truncation, form)
                 assert report == direct_sum_check([Summand(truncation, form=form)], "SLP")
                 cases += 1
-                split = _split_jordan_type(truncation, form) is not None
+                split = _split_strings(truncation, form) is not None
                 split_failing += split and not report.holds
-    # some split modules are predicted to fail and fall back to the scan
+    # some split modules fail, and their failures are read from the factors
     assert cases > 1000 and split_failing
 
 
