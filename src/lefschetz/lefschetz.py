@@ -30,7 +30,6 @@ from .series import (
     ReflectingDegree,
     degrees_coincide,
     is_symmetric,
-    sum_series,
 )
 
 # Bound on the memoised (form, power) expansions; a scan asks for each
@@ -200,21 +199,21 @@ class Summand:
         return self.module.hilbert_series().shifted(self.shift)
 
 
-def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailure, ...]:
-    """Failing maps (times ell^d): M_i -> M_{i+d}, in (d, i) order.
+def _scan_maps(
+    module: QuotientModule, ell: LinearForm, only_d_one: bool
+) -> tuple[MapFailure, ...]:
+    """Failing maps (times ell^d): M_i -> M_{i+d} of one module, in (d, i) order.
 
     Powers are visited from longest to shortest.  Since ell^D factors as
     ell^(D-d) ell^d, an injective map out of M_i of length D makes every
     shorter map out of M_i injective, and a surjective map onto M_j of
     length D makes every shorter map onto M_j surjective.  Such maps have
     maximal rank and are skipped; every other map is ranked, so a failing
-    map is never skipped.  A direct sum's map is block diagonal, so its rank
-    is the sum of the summands' ranks and every skip argument holds
-    blockwise.  A rank mod p is never above the rational rank, so an F_p
-    rank of ``expected`` proves maximal rank; any other map is ranked again
-    by exact elimination, so every failure rank is exact.
+    map is never skipped.  A rank mod p is never above the rational rank,
+    so an F_p rank of ``expected`` proves maximal rank; any other map is
+    ranked again by exact elimination, so every failure rank is exact.
     """
-    series = sum_series(s.series() for s in summands)
+    series = module.hilbert_series()
     if series.is_zero:
         return ()
     p, q = series.start, series.end
@@ -233,14 +232,10 @@ def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailur
                 continue
             if injective_from.get(i, 0) >= d or surjective_onto.get(i + d, 0) >= d:
                 continue
-            blocks = [
-                mult_matrix(s.module, s.resolved_form(), d, i - s.shift)
-                for s in summands
-                if i >= s.shift
-            ]
-            rank = sum(block.rank_mod_p() for block in blocks)
+            matrix = mult_matrix(module, ell, d, i)
+            rank = matrix.rank_mod_p()
             if rank != expected:
-                rank = sum(block.rank() for block in blocks)
+                rank = matrix.rank()
             if rank != expected:
                 failures.append(MapFailure(i=i, d=d, rank=rank, expected=expected))
                 continue
@@ -255,10 +250,25 @@ def _scan_maps(summands: Sequence[Summand], only_d_one: bool) -> tuple[MapFailur
 def direct_sum_check(
     summands: Sequence[Summand], property: str = "SLP"
 ) -> LefschetzReport:
-    """Block-diagonal maximal-rank scan over a direct sum of graded summands."""
+    """Maximal-rank decision for a direct sum of graded summands.
+
+    The sum's map (times ell^d) is block diagonal, so its rank is the sum
+    of the summands' ranks and its graded Jordan type is the summands'
+    strings, each moved up by its shift.  :func:`_failures_of` reads every
+    map from them: every power under the SLP, d = 1 under the WLP.  A
+    summand that splits is read from its factors, any other is scanned
+    once (see :func:`_module_strings`).
+    """
     if property not in ("WLP", "SLP"):
         raise ValueError("property must be 'WLP' or 'SLP'")
-    failures = _scan_maps(summands, only_d_one=property == "WLP")
+    strings = tuple(
+        (s + summand.shift, m)
+        for summand in summands
+        for s, m in _module_strings(summand.module, summand.resolved_form())
+    )
+    if any(s < 0 for s, _ in strings):
+        raise ValueError("a summand is shifted below degree 0")
+    failures = _failures_of(strings, only_d_one=property == "WLP")
     return LefschetzReport(
         property=property,
         holds=not failures,
@@ -427,14 +437,17 @@ def _module_strings(module: QuotientModule, ell: LinearForm) -> Strings:
     split = _split_strings(module, ell)
     if split is not None:
         return split
-    failures = direct_sum_check([Summand(module, form=ell)], property="SLP").failures
-    return _strings(module.hilbert_series(), failures)
+    # through check_slp, the public name under which benchmarks/spans.py times scans
+    return _strings(module.hilbert_series(), check_slp(module, ell).failures)
 
 
 def check_wlp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
     """Scan every (times ell): M_i -> M_{i+1} for maximal rank."""
-    ell = ell or LinearForm.all_ones(module.nvars)
-    return direct_sum_check([Summand(module, form=ell)], property="WLP")
+    ell = Summand(module, form=ell).resolved_form()
+    failures = _scan_maps(module, ell, only_d_one=True)
+    return LefschetzReport(
+        property="WLP", holds=not failures, failures=failures, linear_form=(ell,)
+    )
 
 
 def check_slp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:
@@ -445,12 +458,9 @@ def check_slp(module: QuotientModule, ell: Optional[LinearForm] = None) -> Lefsc
     scanned as a whole; any other module is scanned.  Either way every
     failure is exact and in scan order.
     """
-    ell = ell or LinearForm.all_ones(module.nvars)
-    summand = Summand(module, form=ell)
+    ell = Summand(module, form=ell).resolved_form()
     strings = _split_strings(module, ell)
-    if strings is None:
-        return direct_sum_check([summand], property="SLP")
-    failures = _failures_of(strings)
+    failures = _scan_maps(module, ell, False) if strings is None else _failures_of(strings)
     return LefschetzReport(
         property="SLP", holds=not failures, failures=failures, linear_form=(ell,)
     )
@@ -585,16 +595,13 @@ def csm_slp_criterion(ideal: MonomialIdeal, v: int) -> bool:
     """Sufficient condition for SLP of S/I via central simple modules.
 
     True iff the direct sum of the tilde modules has the SLP with the
-    all-ones form; False does not imply that S/I lacks the SLP.  The sum's
-    map (times ell^d) is block diagonal, so its strings are the tildes'
-    strings put together, and :func:`_failures_of` decides it.  Each tilde
-    then has the SLP too, since the sum of their ranks, each at most
+    all-ones form; False does not imply that S/I lacks the SLP.  The sum
+    is decided by :func:`direct_sum_check` from the tildes' strings.  Each
+    tilde then has the SLP too, since the sum of their ranks, each at most
     min(a_k, b_k), reaches min(sum a_k, sum b_k) only if every one does.
     """
-    strings: Strings = ()
-    for entry in csm_decompose(ideal, v).entries:
-        strings += _module_strings(entry.tilde, LinearForm.all_ones(entry.tilde.nvars))
-    return not _failures_of(strings)
+    tildes = [entry.tilde for entry in csm_decompose(ideal, v).entries]
+    return direct_sum_check([Summand(t) for t in tildes], property="SLP").holds
 
 
 class TensorCondition(Enum):

@@ -262,23 +262,19 @@ def run_pipeline(
     return certify_rows(a, b, i, d, kept_rows(a, b, i, ideal))
 
 
+@lru_cache(maxsize=PIPELINE_CACHE_SIZE)
 def certify_rows(a: int, b: int, i: int, d: int, kept: tuple[int, ...]) -> PipelineResult:
     """The certificate chain on the rows ``kept`` of ``cl_matrix(a, b, i, d)``,
-    computed once per distinct input and shared by every ideal keeping them."""
-    _check_map(a, b, i, d)
-    return _pipeline_tail(a, b, i, d, kept)
+    computed once per distinct input and shared by every ideal keeping them.
 
-
-@lru_cache(maxsize=PIPELINE_CACHE_SIZE)
-def _pipeline_tail(a: int, b: int, i: int, d: int, kept: tuple[int, ...]) -> PipelineResult:
-    """The chain after the membership pass, on the rows ``kept``.
-
-    The trimmed matrix and its Pascal transform depend on (a, b, i, d)
-    only.  Column operations act on each row alone, so the rows of the
-    cached transform are the transform of the restricted matrix.  The
-    offset invariants and the certificate are checked and the rank is
-    found by elimination for every distinct input.
+    The map is validated first, and a refused input is never cached.  The
+    trimmed matrix and its Pascal transform depend on (a, b, i, d) only.
+    Column operations act on each row alone, so the rows of the cached
+    transform are the transform of the restricted matrix.  The offset
+    invariants and the certificate are checked and the rank is found by
+    elimination for every distinct input.
     """
+    _check_map(a, b, i, d)
     trimmed = cl_matrix(a, b, i, d)
     restricted = trimmed.take_rows(kept)
     m1 = max(i + d - a + 1, 0)

@@ -49,11 +49,6 @@ class Monomial:
             raise ValueError("mixed ambient rings")
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.nvars != other.nvars:
-            raise ValueError("mixed ambient rings")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     def extended(self, nvars: int) -> "Monomial":
         """The same monomial viewed in a larger ambient ring."""
         if nvars < self.nvars:

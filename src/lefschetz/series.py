@@ -58,9 +58,6 @@ class HilbertSeries:
             return 0
         return self.coeffs[d - self.start]
 
-    def total_dimension(self) -> int:
-        return sum(self.coeffs)
-
     def shifted(self, offset: int) -> "HilbertSeries":
         if self.is_zero:
             return self

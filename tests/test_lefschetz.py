@@ -31,6 +31,7 @@ from lefschetz import (
 import lefschetz.lefschetz as lefschetz_module
 from lefschetz.exact import CERTIFICATE_PRIME
 from lefschetz.monomials import algebra_quotient
+from test_scan_oracle import unpruned_failures
 
 
 def poly_multiply(coeffs, form, power):
@@ -144,6 +145,36 @@ def test_direct_sum_check_shifted_copies():
     assert MapFailure(i=1, d=1, rank=0, expected=1) in report.failures
 
 
+def test_direct_sum_refuses_a_summand_below_degree_zero():
+    module = algebra_quotient(parse_ideal("x^2", nvars=1))
+    with pytest.raises(ValueError, match="below degree 0"):
+        direct_sum_check([Summand(module), Summand(module, shift=-1)])
+    # a summand that starts in degree 1 may move down by one
+    ideal = parse_ideal("x", nvars=1)
+    shifted = Summand(QuotientModule(ideal, parse_ideal("x^3", nvars=1)), shift=-1)
+    assert direct_sum_check([shifted]).holds
+    with pytest.raises(ValueError, match="below degree 0"):
+        direct_sum_check([Summand(shifted.module, shift=-2)], property="WLP")
+
+
+def test_split_direct_sum_builds_no_matrix(monkeypatch):
+    module = algebra_quotient(parse_ideal("x^3, y^3, z^3"))
+    summands = [Summand(module), Summand(module, shift=1)]
+    built = []
+    matrix_between = lefschetz_module._matrix_between
+
+    def spy_matrix(*args):
+        built.append(args)
+        return matrix_between(*args)
+
+    monkeypatch.setattr(lefschetz_module, "_matrix_between", spy_matrix)
+    for prop in ("WLP", "SLP"):
+        report = direct_sum_check(summands, property=prop)
+        assert not built
+        assert report.failures == unpruned_failures(summands, only_d_one=prop == "WLP")
+    assert not report.holds
+
+
 def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
     module = algebra_quotient(parse_ideal("x^8, y^8, z^8"))
     expanded, built, matrices, certified, ranked = [], [], [], [], []
@@ -178,7 +209,7 @@ def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "rank", spy_rank)
     # check_slp decides this split module from its factors without a map,
     # so the scan is called directly
-    assert direct_sum_check([Summand(module)], property="SLP").holds
+    assert lefschetz_module._scan_maps(module, LinearForm.all_ones(3), False) == ()
     # one summand: every map the scan builds is ranked, and nothing else is;
     # exact elimination runs only on maps the certificate leaves open
     assert len(built) > 0
@@ -213,7 +244,9 @@ def test_failing_split_module_is_decided_from_its_factors():
         # the product box was never walked
         assert "_index" not in vars(module)
         assert not report.holds
-        assert report == direct_sum_check([Summand(module)], "SLP")
+        assert report.failures == lefschetz_module._scan_maps(
+            module, LinearForm.all_ones(4), False
+        )
 
 
 def test_truncation_failures_refuse_heights_below_one():
@@ -279,15 +312,13 @@ def test_certificate_prime_multiples_fall_back_to_exact_ranks(monkeypatch, den, 
     monkeypatch.setattr(ExactMatrix, "rank", spy_rank)
     # check_slp reads S/(x^2, y^2, z^2) from its one-variable factors and
     # ranks nothing, so the spy watches the scan, and the checker must agree
-    for prop, checker in (("WLP", check_wlp), ("SLP", check_slp)):
+    for only_d_one, checker in ((True, check_wlp), (False, check_slp)):
         ranked.clear()
-        report = direct_sum_check([Summand(module, form=scaled)], property=prop)
+        failures = lefschetz_module._scan_maps(module, scaled, only_d_one)
         assert ranked
         assert all(m.rank_mod_p() == 0 for m in ranked)
-        assert checker(module, scaled) == report
-        reference = checker(module, LinearForm(form))
-        assert report.holds == reference.holds
-        assert report.failures == reference.failures
+        assert checker(module, scaled).failures == failures
+        assert checker(module, LinearForm(form)).failures == failures
 
 
 def test_direct_sum_slp_coincidence():
@@ -344,11 +375,11 @@ def test_csm_series_sum_recovers_algebra():
 
 def block_scan_csm_criterion(ideal, v):
     """The criterion as first defined: every tilde has the SLP by
-    ``check_slp`` and the block-diagonal scan of their sum passes."""
+    ``check_slp`` and the unpruned block-diagonal scan of their sum passes."""
     tildes = [entry.tilde for entry in csm_decompose(ideal, v).entries]
     if not all(check_slp(t).holds for t in tildes):
         return False
-    return direct_sum_check([Summand(t) for t in tildes], property="SLP").holds
+    return unpruned_failures([Summand(t) for t in tildes], only_d_one=False) == ()
 
 
 def test_csm_criterion_matches_the_block_scan_on_type_two_ideals():

@@ -30,7 +30,6 @@ def test_monomial_basics():
     assert str(Monomial((0, 0))) == "1"
     assert m.divides(Monomial((3, 1, 2)))
     assert not m.divides(Monomial((1, 5, 5)))
-    assert m * Monomial((0, 1, 1)) == Monomial((2, 2, 1))
 
 
 def test_variable_power():
@@ -346,7 +345,7 @@ def test_oversized_box_is_refused_before_enumeration():
             call()
     # A truncation is refused the same way once its box is too large.
     square = algebra_quotient(parse_ideal("x^100, y^100"))
-    assert square.hilbert_series().total_dimension() == 100**2
+    assert sum(square.hilbert_series().coeffs) == 100**2
     with pytest.raises(ValueError, match="cells"):
         square.tensor_truncation(3).hilbert_series()
     # The zero module needs no enumeration.

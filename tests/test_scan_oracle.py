@@ -30,7 +30,13 @@ from lefschetz import (
     type_two_ideal,
     variable_power,
 )
-from lefschetz.lefschetz import _failures_of, _module_strings, _split_strings, _strings
+from lefschetz.lefschetz import (
+    _failures_of,
+    _module_strings,
+    _scan_maps,
+    _split_strings,
+    _strings,
+)
 from lefschetz.series import HilbertSeries, sum_series
 from lefschetz.sweeps import (
     _tensor_module,
@@ -118,10 +124,16 @@ def filtered_basis(module, d):
 
 
 def assert_scans_agree(summands):
+    """The direct sum's decision, and the pruned scan of a lone unshifted
+    module, against the unpruned scan under both properties."""
     for prop in ("WLP", "SLP"):
-        pruned = direct_sum_check(summands, property=prop).failures
-        assert pruned == unpruned_failures(summands, only_d_one=prop == "WLP")
-    return bool(pruned)
+        only_d_one = prop == "WLP"
+        unpruned = unpruned_failures(summands, only_d_one)
+        assert direct_sum_check(summands, property=prop).failures == unpruned
+        if len(summands) == 1 and not summands[0].shift:
+            summand = summands[0]
+            assert _scan_maps(summand.module, summand.resolved_form(), only_d_one) == unpruned
+    return bool(unpruned)
 
 
 def random_module(rng, nvars):
@@ -280,7 +292,7 @@ def test_pruned_scan_skips_implied_maps(monkeypatch):
 
     monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
     monkeypatch.setattr(ExactMatrix, "rank_mod_p", counting_rank_mod_p)
-    assert direct_sum_check([Summand(module)], property="SLP").holds
+    assert _scan_maps(module, LinearForm.all_ones(3), False) == ()
     pruned = len(ranked)
     ranked.clear()
     assert unpruned_failures([Summand(module)], only_d_one=False) == ()
@@ -330,7 +342,7 @@ def test_split_decision_matches_scan(nvars, seed, kind):
         for v in rng.choice(classes):
             coeffs[v] = 0
     form = LinearForm(tuple(coeffs))
-    assert check_slp(module, form) == direct_sum_check([Summand(module, form=form)], "SLP")
+    assert check_slp(module, form).failures == _scan_maps(module, form, False)
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,7 +360,7 @@ def test_jordan_type_matches_every_ranked_map(nvars, seed, split):
     assert _failures_of(strings) == unpruned_failures(summands, only_d_one=False)
     assert strings_series(strings) == module.hilbert_series()
     # the scan route, which split modules skip in the helper
-    scanned = direct_sum_check(summands, "SLP").failures
+    scanned = _scan_maps(module, form, False)
     assert sorted(_strings(module.hilbert_series(), scanned)) == sorted(strings)
     split = _split_strings(module, form)
     if split is not None:
@@ -370,7 +382,7 @@ def test_split_decision_matches_scan_on_lemma_corpora():
             truncation = module.tensor_truncation(c)
             for form in forms:
                 report = check_slp(truncation, form)
-                assert report == direct_sum_check([Summand(truncation, form=form)], "SLP")
+                assert report.failures == _scan_maps(truncation, form, False)
                 cases += 1
                 split = _split_strings(truncation, form) is not None
                 split_failing += split and not report.holds
@@ -384,9 +396,7 @@ def scanned_failing_heights(module, heights, form, property):
     return [
         c
         for c in heights
-        if not direct_sum_check(
-            [Summand(module.tensor_truncation(c), form=extended)], property
-        ).holds
+        if _scan_maps(module.tensor_truncation(c), extended, property == "WLP")
     ]
 
 

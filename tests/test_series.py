@@ -44,7 +44,7 @@ def test_coefficient_and_total():
     assert s.coefficient(4) == 3
     assert s.coefficient(0) == 0
     assert s.coefficient(99) == 0
-    assert s.total_dimension() == 7
+    assert sum(s.coeffs) == 7
 
 
 @given(st.integers(0, 5), coeff_lists, st.integers(0, 4))

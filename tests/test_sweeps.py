@@ -168,9 +168,9 @@ def test_sweep_tensor_builds_no_truncation_and_scans_each_base_once(monkeypatch)
     scanned = Counter()
     scan = lefschetz_module._scan_maps
 
-    def counting_scan(summands, only_d_one):
-        scanned[tuple(s.module for s in summands)] += 1
-        return scan(summands, only_d_one)
+    def counting_scan(module, ell, only_d_one):
+        scanned[module] += 1
+        return scan(module, ell, only_d_one)
 
     monkeypatch.setattr(QuotientModule, "tensor_truncation", refuse)
     monkeypatch.setattr(lefschetz_module, "_scan_maps", counting_scan)
@@ -179,7 +179,7 @@ def test_sweep_tensor_builds_no_truncation_and_scans_each_base_once(monkeypatch)
     # only two-variable bases are scanned, each at most once
     assert scanned and max(scanned.values()) == 1
     assert len(scanned) <= summary["cases"]
-    assert all(module.nvars == 2 for key in scanned for module in key)
+    assert all(module.nvars == 2 for module in scanned)
 
 
 def test_truncation_verdict_is_constant_from_the_support_width():
@@ -314,9 +314,9 @@ def test_sweep_type_two_scans_one_module_per_mirror_pair(monkeypatch):
     scanned = []
     scan = lefschetz_module._scan_maps
 
-    def counting_scan(summands, only_d_one):
-        scanned.append(summands[0].module)
-        return scan(summands, only_d_one)
+    def counting_scan(module, ell, only_d_one):
+        scanned.append(module)
+        return scan(module, ell, only_d_one)
 
     monkeypatch.setattr(lefschetz_module, "_scan_maps", counting_scan)
     assert sweep_type_two(limit=4)["cases"] == 216
