@@ -96,49 +96,16 @@ class ExactMatrix:
 
         Every minor that vanishes over the integers vanishes mod p, so this
         is never above :meth:`rank`; when it reaches min(rows, cols) the
-        matrix has maximal rank over the rationals.
-
-        Gaussian elimination along the shorter side, pivoting on the first
-        line with a nonzero entry in the current column.  A pivot updates a
-        line only in the slots right of the column where the pivot itself
-        is nonzero: every other slot would subtract zero, and the column
-        slot is never read again, because the pivot search only moves
-        right.  The pivots, and so the rank, are those of the dense update.
+        matrix has maximal rank over the rationals.  The residues are
+        ranked by :func:`_rank_mod_p`.
         """
         p = CERTIFICATE_PRIME
         rows, cols = self.rows, self.cols
         residues = [e % p for e in self.entries]
         # Eliminate along the shorter side: the rank is the same, the work less.
         if rows > cols:
-            lines = [residues[j::cols] for j in range(cols)]
-            width = rows
-        else:
-            lines = [residues[k * cols : (k + 1) * cols] for k in range(rows)]
-            width = cols
-        rank = 0
-        for col in range(width):
-            for k, line in enumerate(lines):
-                if line[col]:
-                    break
-            else:
-                continue
-            pivot = lines.pop(k)
-            inverse = pow(pivot[col], -1, p)
-            # (slot, normalised entry) for the pivot's nonzeros right of col
-            tail = [
-                (n, e * inverse % p)
-                for n, e in enumerate(pivot[col + 1 :], col + 1)
-                if e
-            ]
-            for line in lines:
-                factor = line[col]
-                if factor:
-                    for n, e in tail:
-                        line[n] = (line[n] - factor * e) % p
-            rank += 1
-            if not lines:
-                break
-        return rank
+            return _rank_mod_p([residues[j::cols] for j in range(cols)])
+        return _rank_mod_p([residues[k * cols : (k + 1) * cols] for k in range(rows)])
 
     def determinant(self) -> int:
         """Exact determinant; the empty 0x0 determinant is 1."""
@@ -163,6 +130,44 @@ class ExactMatrix:
             r0 += b.rows
             c0 += b.cols
         return cls.from_rows(data) if total_rows else cls.zeros(0, total_cols)
+
+
+def _rank_mod_p(lines: list[list[int]]) -> int:
+    """Rank over F_p of equal-length lines of residues mod :data:`CERTIFICATE_PRIME`.
+
+    The lines are eliminated in place.  Gaussian elimination pivots on the
+    first line with a nonzero entry in the current column.  A pivot updates
+    a line only in the slots right of the column where the pivot itself is
+    nonzero: every other slot would subtract zero, and the column slot is
+    never read again, because the pivot search only moves right.  The
+    pivots, and so the rank, are those of the dense update.
+    """
+    p = CERTIFICATE_PRIME
+    width = len(lines[0]) if lines else 0
+    rank = 0
+    for col in range(width):
+        for k, line in enumerate(lines):
+            if line[col]:
+                break
+        else:
+            continue
+        pivot = lines.pop(k)
+        inverse = pow(pivot[col], -1, p)
+        # (slot, normalised entry) for the pivot's nonzeros right of col
+        tail = [
+            (n, e * inverse % p)
+            for n, e in enumerate(pivot[col + 1 :], col + 1)
+            if e
+        ]
+        for line in lines:
+            factor = line[col]
+            if factor:
+                for n, e in tail:
+                    line[n] = (line[n] - factor * e) % p
+        rank += 1
+        if not lines:
+            break
+    return rank
 
 
 def _fraction_free_echelon(data: list[list[int]]) -> tuple[int, int, int]:

@@ -16,7 +16,7 @@ from itertools import accumulate
 from operator import add, le, mul
 from typing import Iterable, Optional, Sequence
 
-from .exact import ExactMatrix, multinomial
+from .exact import CERTIFICATE_PRIME, ExactMatrix, _rank_mod_p, multinomial
 from .monomials import (
     MAX_BOX_CELLS,
     Monomial,
@@ -120,44 +120,47 @@ class LefschetzReport:
             raise ReportInvariantError("holds must mirror an empty failure list")
 
 
-def _matrix_between(
-    source: Sequence[Monomial],
-    target: Sequence[Monomial],
+def _images(
+    source: Sequence[tuple[int, ...]],
+    target: Sequence[tuple[int, ...]],
     expansion: Sequence[tuple[tuple[int, ...], int]],
-) -> ExactMatrix:
-    """Matrix of multiplication by an expanded form power, target x source.
+    modulus: Optional[int],
+) -> list[list[int]]:
+    """Each source monomial's image under an expanded form power, on the target.
 
-    Each basis is homogeneous, and the target's degree is the source's
-    degree plus the power's.  An exponent vector is packed into one integer
-    with radix target degree + 1: no slot of a product reaches the radix,
-    so adding two codes adds the vectors.  A term with a slot above that
-    slot's largest target exponent can never land on the target and is
-    dropped before the loop.
+    The bases are exponent tuples of one homogeneous degree each, and the
+    target's degree is the source's degree plus the power's.  An image
+    lists one coefficient per target monomial, reduced mod ``modulus``
+    unless it is None.  An exponent vector is packed into one integer with
+    radix target degree + 1: no slot of a product reaches the radix, so
+    adding two codes adds the vectors, and distinct terms land on distinct
+    target monomials.  A term with a slot above that slot's largest target
+    exponent can never land on the target and is dropped before the loop.
     """
-    rows, cols = len(target), len(source)
-    if not rows or not cols:
-        return ExactMatrix.zeros(rows, cols)
-    radix = target[0].degree + 1
-    weights = [radix**k for k in reversed(range(len(target[0].exponents)))]
-    tops = [max(slot) for slot in zip(*[m.exponents for m in target])]
-    # target code -> offset of its row in the flat row-major entries
-    offset = {
-        sum(map(mul, m.exponents, weights)): r * cols for r, m in enumerate(target)
-    }
+    rows = len(target)
+    if not rows or not source:
+        return [[0] * rows for _ in source]
+    radix = sum(target[0]) + 1
+    weights = [radix**k for k in reversed(range(len(target[0])))]
+    tops = [max(slot) for slot in zip(*target)]
+    # target code -> its position in an image
+    position = {sum(map(mul, m, weights)): r for r, m in enumerate(target)}
     terms = [
-        (sum(map(mul, exps, weights)), coeff)
+        (sum(map(mul, exps, weights)), coeff if modulus is None else coeff % modulus)
         for exps, coeff in expansion
         if all(map(le, exps, tops))
     ]
-    entries = [0] * (rows * cols)
-    get = offset.get
-    for j, u in enumerate(source):
-        base = sum(map(mul, u.exponents, weights))
+    get = position.get
+    images = []
+    for u in source:
+        base = sum(map(mul, u, weights))
+        image = [0] * rows
         for packed, coeff in terms:
             at = get(base + packed)
             if at is not None:
-                entries[at + j] += coeff
-    return ExactMatrix(rows, cols, tuple(entries))
+                image[at] = coeff
+        images.append(image)
+    return images
 
 
 def mult_matrix(
@@ -172,9 +175,11 @@ def mult_matrix(
         raise ValueError("power must be at least 1")
     if ell.nvars != module.nvars:
         raise ValueError("linear form ambient ring mismatch")
-    source = module.degree_basis(i)
-    target = module.degree_basis(i + d)
-    return _matrix_between(source, target, ell.power_expansion(d))
+    source, target = module._exponents(i), module._exponents(i + d)
+    images = _images(source, target, ell.power_expansion(d), None)
+    # the images are the columns
+    entries = tuple(e for row in zip(*images) for e in row)
+    return ExactMatrix(len(target), len(source), entries)
 
 
 @dataclass(frozen=True)
@@ -209,8 +214,10 @@ def _scan_maps(
     shorter map out of M_i injective, and a surjective map onto M_j of
     length D makes every shorter map onto M_j surjective.  Such maps have
     maximal rank and are skipped; every other map is ranked, so a failing
-    map is never skipped.  A rank mod p is never above the rational rank,
-    so an F_p rank of ``expected`` proves maximal rank; any other map is
+    map is never skipped.  A map is ranked mod p from its source
+    monomials' images (see :func:`_images`).  A rank mod p is never above
+    the rational rank, so an F_p rank of ``expected`` proves maximal rank;
+    any other map is built over the integers by :func:`mult_matrix` and
     ranked again by exact elimination, so every failure rank is exact.
     """
     series = module.hilbert_series()
@@ -232,10 +239,12 @@ def _scan_maps(
                 continue
             if injective_from.get(i, 0) >= d or surjective_onto.get(i + d, 0) >= d:
                 continue
-            matrix = mult_matrix(module, ell, d, i)
-            rank = matrix.rank_mod_p()
+            source, target = module._exponents(i), module._exponents(i + d)
+            rank = _rank_mod_p(
+                _images(source, target, ell.power_expansion(d), CERTIFICATE_PRIME)
+            )
             if rank != expected:
-                rank = matrix.rank()
+                rank = mult_matrix(module, ell, d, i).rank()
             if rank != expected:
                 failures.append(MapFailure(i=i, d=d, rank=rank, expected=expected))
                 continue
@@ -437,8 +446,7 @@ def _module_strings(module: QuotientModule, ell: LinearForm) -> Strings:
     split = _split_strings(module, ell)
     if split is not None:
         return split
-    # through check_slp, the public name under which benchmarks/spans.py times scans
-    return _strings(module.hilbert_series(), check_slp(module, ell).failures)
+    return _strings(module.hilbert_series(), _scan_maps(module, ell, False))
 
 
 def check_wlp(module: QuotientModule, ell: Optional[LinearForm] = None) -> LefschetzReport:

@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import le
 from typing import Iterable, Iterator, Optional
 
 from .series import HilbertSeries
@@ -95,7 +96,7 @@ def divisible_by_any(
 ) -> bool:
     """Whether some generator exponent vector divides ``exponents``.
 
-    The one membership kernel: ideal membership and basis filtering both
+    The one membership kernel: ideal membership and minimalisation both
     run on bare exponent tuples of one ambient ring.
     """
     for g in generators:
@@ -282,40 +283,54 @@ class QuotientModule:
             )
 
     @cached_property
-    def _index(self) -> dict[int, tuple[Monomial, ...]]:
-        """The degree -> basis buckets, built once and never changed.
+    def _index(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """The degree -> basis buckets of exponent tuples, built once and never changed.
 
-        The box of the denominator's pure-power caps (x_v^c in the
-        denominator bounds the exponent of x_v by c - 1) is walked once, in
-        descending lex order, and each degree with a nonzero piece gets its
-        bucket, so a degree without one is zero.
+        Every basis tuple lies in the box of the denominator's pure-power
+        caps (x_v^c in the denominator bounds the exponent of x_v by c - 1),
+        which is built one column per prefix of all but the last variable.
+        Call a generator's exponents but the last its head: in a column
+        whose prefix its head divides, the generator divides exactly the
+        cells whose last exponent is at least its own last.  So a column's
+        basis is one interval [lo, hi) of last exponents: hi is the last cap
+        or the least last exponent of a wall (a denominator generator in two
+        or more variables; a pure power never divides a cell of its box)
+        whose head divides the prefix, and lo the least last exponent of a
+        numerator generator whose head divides it.  Prefixes and last
+        exponents are walked in descending order, so every bucket is in
+        descending lex order.  A degree without a bucket is zero.
         """
         if self.numerator.is_zero:
             return {}
         self.refuse_large_box()
-        caps = self.denominator.pure_power_caps
-        # No pure power divides a box cell, so only the other generators
-        # of the denominator are tested.
-        numerator = self.numerator.generator_exponents
+        *head_caps, last_cap = self.denominator.pure_power_caps
         walls = [
-            g
+            (g[:-1], g[-1])
             for g in self.denominator.generator_exponents
             if sum(1 for e in g if e) > 1
         ]
-        members: dict[int, list[Monomial]] = {}
-        for exps in itertools.product(*(range(c - 1, -1, -1) for c in caps)):
-            if divisible_by_any(exps, numerator) and not divisible_by_any(exps, walls):
-                members.setdefault(sum(exps), []).append(Monomial(exps))
+        numerator = [(g[:-1], g[-1]) for g in self.numerator.generator_exponents]
+        members: dict[int, list[tuple[int, ...]]] = {}
+        for prefix in itertools.product(*(range(c - 1, -1, -1) for c in head_caps)):
+            hi = min((e for h, e in walls if all(map(le, h, prefix))), default=last_cap)
+            lo = min((e for h, e in numerator if all(map(le, h, prefix))), default=hi)
+            base = sum(prefix)
+            for e in range(hi - 1, lo - 1, -1):
+                members.setdefault(base + e, []).append(prefix + (e,))
         return {d: tuple(basis) for d, basis in members.items()}
+
+    def _exponents(self, d: int) -> tuple[tuple[int, ...], ...]:
+        """The degree-d basis as exponent tuples, in descending lex order."""
+        if d < 0:
+            raise ValueError("degree must be nonnegative")
+        return self._index.get(d, ())
 
     def degree_basis(self, d: int) -> list[Monomial]:
         """The degree-d basis in descending lex order, as a fresh list."""
-        if d < 0:
-            raise ValueError("degree must be nonnegative")
-        return list(self._index.get(d, ()))
+        return [Monomial(exps) for exps in self._exponents(d)]
 
     def dimension_in_degree(self, d: int) -> int:
-        return len(self.degree_basis(d))
+        return len(self._exponents(d))
 
     def top_degree_bound(self) -> int:
         """Largest degree that can carry a nonzero graded piece."""

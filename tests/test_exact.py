@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from lefschetz import (
     ExactMatrix,
+    LinearForm,
     binomial,
-    check_slp,
     multinomial,
     parse_ideal,
 )
+import lefschetz.lefschetz as lefschetz_module
 from lefschetz.exact import CERTIFICATE_PRIME
+from lefschetz.lefschetz import _scan_maps
 from lefschetz.monomials import algebra_quotient
 
 
@@ -223,13 +225,18 @@ def test_rank_mod_p_matches_dense_elimination(m):
 
 def test_rank_mod_p_matches_dense_elimination_on_scanned_maps(monkeypatch):
     ranked = []
-    kernel = ExactMatrix.rank_mod_p
+    kernel = lefschetz_module._rank_mod_p
 
-    def recording(matrix):
-        ranked.append(matrix)
-        return kernel(matrix)
+    def recording(lines):
+        # the scan's lines are the images of its source monomials, that is
+        # the columns of the map's matrix
+        matrix = ExactMatrix(
+            len(lines[0]), len(lines), tuple(e for row in zip(*lines) for e in row)
+        )
+        ranked.append((matrix, kernel(lines)))
+        return ranked[-1][1]
 
-    monkeypatch.setattr(ExactMatrix, "rank_mod_p", recording)
+    monkeypatch.setattr(lefschetz_module, "_rank_mod_p", recording)
     modules = [
         algebra_quotient(parse_ideal(f"x^{n}, y^{n}, z^{n}")) for n in range(3, 7)
     ]
@@ -238,11 +245,11 @@ def test_rank_mod_p_matches_dense_elimination_on_scanned_maps(monkeypatch):
         algebra_quotient(parse_ideal("x^4, y^4, z^4, t^3, x^3*y^3, y^3*z^3"))
     )
     for module in modules:
-        check_slp(module)
+        _scan_maps(module, LinearForm.all_ones(module.nvars), False)
     monkeypatch.undo()
     assert ranked
-    for m in ranked:
-        assert m.rank_mod_p() == dense_rank_mod_p(m)
+    for m, rank in ranked:
+        assert rank == m.rank_mod_p() == dense_rank_mod_p(m)
 
 
 def test_rank_mod_p_small_cases():

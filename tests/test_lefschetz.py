@@ -161,13 +161,13 @@ def test_split_direct_sum_builds_no_matrix(monkeypatch):
     module = algebra_quotient(parse_ideal("x^3, y^3, z^3"))
     summands = [Summand(module), Summand(module, shift=1)]
     built = []
-    matrix_between = lefschetz_module._matrix_between
+    images = lefschetz_module._images
 
-    def spy_matrix(*args):
+    def spy_images(*args):
         built.append(args)
-        return matrix_between(*args)
+        return images(*args)
 
-    monkeypatch.setattr(lefschetz_module, "_matrix_between", spy_matrix)
+    monkeypatch.setattr(lefschetz_module, "_images", spy_images)
     for prop in ("WLP", "SLP"):
         report = direct_sum_check(summands, property=prop)
         assert not built
@@ -177,12 +177,12 @@ def test_split_direct_sum_builds_no_matrix(monkeypatch):
 
 def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
     module = algebra_quotient(parse_ideal("x^8, y^8, z^8"))
-    expanded, built, matrices, certified, ranked = [], [], [], [], []
+    expanded, built, assembled, certified, ranked = [], [], [], [], []
     expansion_power = {}
     power_expansion = LinearForm.power_expansion
-    matrix_between = lefschetz_module._matrix_between
+    images = lefschetz_module._images
     rank = ExactMatrix.rank
-    rank_mod_p = ExactMatrix.rank_mod_p
+    kernel = lefschetz_module._rank_mod_p
 
     def spy_expansion(form, d):
         terms = power_expansion(form, d)
@@ -190,31 +190,31 @@ def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
         expansion_power[id(terms)] = (d, terms)
         return terms
 
-    def spy_matrix(source, target, expansion):
+    def spy_images(source, target, expansion, modulus):
         built.append(expansion_power[id(expansion)][0])
-        matrices.append(matrix_between(source, target, expansion))
-        return matrices[-1]
+        assembled.append(images(source, target, expansion, modulus))
+        return assembled[-1]
 
-    def spy_rank_mod_p(matrix):
-        certified.append(matrix)
-        return rank_mod_p(matrix)
+    def spy_kernel(lines):
+        certified.append(lines)
+        return kernel(lines)
 
     def spy_rank(matrix):
         ranked.append(matrix)
         return rank(matrix)
 
     monkeypatch.setattr(LinearForm, "power_expansion", spy_expansion)
-    monkeypatch.setattr(lefschetz_module, "_matrix_between", spy_matrix)
-    monkeypatch.setattr(ExactMatrix, "rank_mod_p", spy_rank_mod_p)
+    monkeypatch.setattr(lefschetz_module, "_images", spy_images)
+    monkeypatch.setattr(lefschetz_module, "_rank_mod_p", spy_kernel)
     monkeypatch.setattr(ExactMatrix, "rank", spy_rank)
     # check_slp decides this split module from its factors without a map,
     # so the scan is called directly
     assert lefschetz_module._scan_maps(module, LinearForm.all_ones(3), False) == ()
-    # one summand: every map the scan builds is ranked, and nothing else is;
-    # exact elimination runs only on maps the certificate leaves open
+    # every map the scan assembles is ranked mod p, and nothing else is;
+    # every map passes, so none is rebuilt over the integers
     assert len(built) > 0
-    assert [id(m) for m in certified] == [id(m) for m in matrices]
-    assert {id(m) for m in ranked} <= {id(m) for m in matrices}
+    assert [id(m) for m in certified] == [id(m) for m in assembled]
+    assert not ranked
     assert set(expanded) == set(built)
 
 
@@ -224,7 +224,8 @@ def test_split_complete_intersection_builds_no_matrix(monkeypatch):
     def no_matrix(*args):
         raise AssertionError("a split module was scanned")
 
-    monkeypatch.setattr(lefschetz_module, "_matrix_between", no_matrix)
+    monkeypatch.setattr(lefschetz_module, "_images", no_matrix)
+    monkeypatch.setattr(lefschetz_module, "_rank_mod_p", no_matrix)
     monkeypatch.setattr(ExactMatrix, "rank", no_matrix)
     monkeypatch.setattr(ExactMatrix, "rank_mod_p", no_matrix)
     assert check_slp(module).holds
@@ -302,20 +303,30 @@ def test_certificate_prime_multiples_fall_back_to_exact_ranks(monkeypatch, den, 
     # and every map must be ranked again exactly.
     module = algebra_quotient(parse_ideal(den))
     scaled = LinearForm(tuple(CERTIFICATE_PRIME * c for c in form))
-    ranked = []
+    certified, ranked = [], []
+    kernel = lefschetz_module._rank_mod_p
     rank = ExactMatrix.rank
+
+    def spy_kernel(lines):
+        certified.append(kernel(lines))
+        return certified[-1]
 
     def spy_rank(matrix):
         ranked.append(matrix)
         return rank(matrix)
 
+    monkeypatch.setattr(lefschetz_module, "_rank_mod_p", spy_kernel)
     monkeypatch.setattr(ExactMatrix, "rank", spy_rank)
     # check_slp reads S/(x^2, y^2, z^2) from its one-variable factors and
-    # ranks nothing, so the spy watches the scan, and the checker must agree
+    # ranks nothing, so the spies watch the scan, and the checker must agree
     for only_d_one, checker in ((True, check_wlp), (False, check_slp)):
+        certified.clear()
         ranked.clear()
         failures = lefschetz_module._scan_maps(module, scaled, only_d_one)
+        # every map's images vanish mod p, and every map is rebuilt and
+        # ranked exactly
         assert ranked
+        assert certified == [0] * len(ranked)
         assert all(m.rank_mod_p() == 0 for m in ranked)
         assert checker(module, scaled).failures == failures
         assert checker(module, LinearForm(form)).failures == failures

@@ -351,3 +351,45 @@ def test_oversized_box_is_refused_before_enumeration():
     # The zero module needs no enumeration.
     zero = QuotientModule(MonomialIdeal.zero(4), module.denominator)
     assert zero.hilbert_series().is_zero
+
+
+@pytest.mark.parametrize(
+    "num, den, nvars, expected",
+    [
+        # a wall with last exponent 0: x*y empties every prefix it divides
+        ("1", "x^2, y^2, z^2, x*y", 3,
+         {0: [(0, 0, 0)], 1: [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+          2: [(1, 0, 1), (0, 1, 1)]}),
+        # a numerator generator in the last variable only
+        ("z^2", "x^2, y^2, z^3", 3,
+         {2: [(0, 0, 2)], 3: [(1, 0, 2), (0, 1, 2)], 4: [(1, 1, 2)]}),
+        # one variable: the prefix is empty
+        ("x^2", "x^5", 1, {2: [(2,)], 3: [(3,)], 4: [(4,)]}),
+        ("1", "x", 1, {0: [(0,)]}),
+        # a cap of 1 on a head variable and on the last variable
+        ("1", "x, y^3, z^2", 3,
+         {0: [(0, 0, 0)], 1: [(0, 1, 0), (0, 0, 1)], 2: [(0, 2, 0), (0, 1, 1)],
+          3: [(0, 2, 1)]}),
+        ("y", "x^2, y^3, z", 3, {1: [(0, 1, 0)], 2: [(1, 1, 0), (0, 2, 0)], 3: [(1, 2, 0)]}),
+        # a wall and a numerator generator lowering and raising one interval
+        ("x*z", "x^3, y^2, z^4, x*y*z^2", 3,
+         {2: [(1, 0, 1)], 3: [(2, 0, 1), (1, 1, 1), (1, 0, 2)],
+          4: [(2, 1, 1), (2, 0, 2), (1, 0, 3)], 5: [(2, 0, 3)]}),
+    ],
+)
+def test_box_index_edge_cases(num, den, nvars, expected):
+    module = QuotientModule(parse_ideal(num, nvars), parse_ideal(den, nvars))
+    top = module.top_degree_bound()
+    for d in range(top + 2):
+        basis = module.degree_basis(d)
+        assert basis == [Monomial(e) for e in expected.get(d, [])]
+        assert basis == reference_basis(module, d)
+        assert module.dimension_in_degree(d) == len(basis)
+
+
+def test_zero_numerator_has_no_basis():
+    module = QuotientModule(MonomialIdeal.zero(3), parse_ideal("x^2, y^2, z^2"))
+    assert all(module.degree_basis(d) == [] for d in range(5))
+    assert module.hilbert_series().is_zero
+    with pytest.raises(ValueError, match="nonnegative"):
+        module.dimension_in_degree(-1)

@@ -30,8 +30,11 @@ from lefschetz import (
     type_two_ideal,
     variable_power,
 )
+import lefschetz.lefschetz as lefschetz_module
+from lefschetz.exact import CERTIFICATE_PRIME
 from lefschetz.lefschetz import (
     _failures_of,
+    _images,
     _module_strings,
     _scan_maps,
     _split_strings,
@@ -45,6 +48,7 @@ from lefschetz.sweeps import (
     algebra_corpus,
     two_variable_corpus,
 )
+from test_monomials import artinian_modules
 
 
 def tuple_matrix_between(source, target, expansion):
@@ -233,6 +237,35 @@ def test_packed_assembly_matches_tuple_reference(nvars, seed, numerator, coeffs,
             assert packed == reference
 
 
+# Form coefficients that are negative, multiples of the certificate prime,
+# or large, so a power's coefficients are rarely residues already.
+form_coefficients = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from([CERTIFICATE_PRIME, -CERTIFICATE_PRIME, 2 * CERTIFICATE_PRIME + 1]),
+    st.integers(-(2**20), 2**20),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    artinian_modules(),
+    st.lists(form_coefficients, min_size=4, max_size=4),
+    st.integers(1, 4),
+)
+def test_images_mod_p_are_the_matrix_columns_mod_p(module, coeffs, d):
+    coeffs = coeffs[: module.nvars]
+    form = LinearForm(tuple(coeffs) if any(coeffs) else (1,) * module.nvars)
+    p = CERTIFICATE_PRIME
+    for i in range(module.top_degree_bound() + 1):
+        matrix = mult_matrix(module, form, d, i)
+        images = _images(
+            module._exponents(i), module._exponents(i + d), form.power_expansion(d), p
+        )
+        assert len(images) == matrix.cols
+        for j, image in enumerate(images):
+            assert image == [matrix.at(r, j) % p for r in range(matrix.rows)]
+
+
 def test_packed_assembly_handles_empty_bases():
     # (x)/(x^2, y^2): M_0 is empty, M_2 = <xy>, M_3 is empty
     module = QuotientModule(
@@ -280,18 +313,18 @@ def test_pruned_scan_skips_implied_maps(monkeypatch):
     )
     ranked = []
     rank = ExactMatrix.rank
-    rank_mod_p = ExactMatrix.rank_mod_p
+    kernel = lefschetz_module._rank_mod_p
 
     def counting_rank(matrix):
         ranked.append(matrix.rows)
         return rank(matrix)
 
-    def counting_rank_mod_p(matrix):
-        ranked.append(matrix.rows)
-        return rank_mod_p(matrix)
+    def counting_kernel(lines):
+        ranked.append(len(lines))
+        return kernel(lines)
 
     monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
-    monkeypatch.setattr(ExactMatrix, "rank_mod_p", counting_rank_mod_p)
+    monkeypatch.setattr(lefschetz_module, "_rank_mod_p", counting_kernel)
     assert _scan_maps(module, LinearForm.all_ones(3), False) == ()
     pruned = len(ranked)
     ranked.clear()
