@@ -91,22 +91,6 @@ class ExactMatrix:
         rank, _sign, _pivot = _fraction_free_echelon(self.to_rows())
         return rank
 
-    def rank_mod_p(self) -> int:
-        """Rank over F_p for p = :data:`CERTIFICATE_PRIME`.
-
-        Every minor that vanishes over the integers vanishes mod p, so this
-        is never above :meth:`rank`; when it reaches min(rows, cols) the
-        matrix has maximal rank over the rationals.  The residues are
-        ranked by :func:`_rank_mod_p`.
-        """
-        p = CERTIFICATE_PRIME
-        rows, cols = self.rows, self.cols
-        residues = [e % p for e in self.entries]
-        # Eliminate along the shorter side: the rank is the same, the work less.
-        if rows > cols:
-            return _rank_mod_p([residues[j::cols] for j in range(cols)])
-        return _rank_mod_p([residues[k * cols : (k + 1) * cols] for k in range(rows)])
-
     def determinant(self) -> int:
         """Exact determinant; the empty 0x0 determinant is 1."""
         if self.rows != self.cols:

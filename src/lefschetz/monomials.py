@@ -283,10 +283,10 @@ class QuotientModule:
             )
 
     @cached_property
-    def _index(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        """The degree -> basis buckets of exponent tuples, built once and never changed.
+    def _index(self) -> dict[int, tuple[Monomial, ...]]:
+        """The degree -> basis buckets, built once and never changed.
 
-        Every basis tuple lies in the box of the denominator's pure-power
+        Every basis monomial lies in the box of the denominator's pure-power
         caps (x_v^c in the denominator bounds the exponent of x_v by c - 1),
         which is built one column per prefix of all but the last variable.
         Call a generator's exponents but the last its head: in a column
@@ -310,27 +310,25 @@ class QuotientModule:
             if sum(1 for e in g if e) > 1
         ]
         numerator = [(g[:-1], g[-1]) for g in self.numerator.generator_exponents]
-        members: dict[int, list[tuple[int, ...]]] = {}
+        members: dict[int, list[Monomial]] = {}
         for prefix in itertools.product(*(range(c - 1, -1, -1) for c in head_caps)):
             hi = min((e for h, e in walls if all(map(le, h, prefix))), default=last_cap)
             lo = min((e for h, e in numerator if all(map(le, h, prefix))), default=hi)
             base = sum(prefix)
             for e in range(hi - 1, lo - 1, -1):
-                members.setdefault(base + e, []).append(prefix + (e,))
+                members.setdefault(base + e, []).append(Monomial(prefix + (e,)))
         return {d: tuple(basis) for d, basis in members.items()}
-
-    def _exponents(self, d: int) -> tuple[tuple[int, ...], ...]:
-        """The degree-d basis as exponent tuples, in descending lex order."""
-        if d < 0:
-            raise ValueError("degree must be nonnegative")
-        return self._index.get(d, ())
 
     def degree_basis(self, d: int) -> list[Monomial]:
         """The degree-d basis in descending lex order, as a fresh list."""
-        return [Monomial(exps) for exps in self._exponents(d)]
+        if d < 0:
+            raise ValueError("degree must be nonnegative")
+        return list(self._index.get(d, ()))
 
     def dimension_in_degree(self, d: int) -> int:
-        return len(self._exponents(d))
+        if d < 0:
+            raise ValueError("degree must be nonnegative")
+        return len(self._index.get(d, ()))
 
     def top_degree_bound(self) -> int:
         """Largest degree that can carry a nonzero graded piece."""

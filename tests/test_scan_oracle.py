@@ -259,7 +259,7 @@ def test_images_mod_p_are_the_matrix_columns_mod_p(module, coeffs, d):
     for i in range(module.top_degree_bound() + 1):
         matrix = mult_matrix(module, form, d, i)
         images = _images(
-            module._exponents(i), module._exponents(i + d), form.power_expansion(d), p
+            module.degree_basis(i), module.degree_basis(i + d), form.power_expansion(d), p
         )
         assert len(images) == matrix.cols
         for j, image in enumerate(images):
