@@ -17,6 +17,7 @@ from operator import add, le, mul
 from typing import Iterable, Optional, Sequence
 
 from .exact import CERTIFICATE_PRIME, ExactMatrix, _rank_mod_p, multinomial
+from .lgv import _window_rank
 from .monomials import (
     MAX_BOX_CELLS,
     Monomial,
@@ -216,11 +217,13 @@ def _scan_maps(
     shorter map out of M_i injective, and a surjective map onto M_j of
     length D makes every shorter map onto M_j surjective.  Such maps have
     maximal rank and are skipped; every other map is ranked, so a failing
-    map is never skipped.  A map is ranked mod p from its source
-    monomials' images (see :func:`_images`).  A rank mod p is never above
-    the rational rank, so an F_p rank of ``expected`` proves maximal rank;
-    any other map is built over the integers by :func:`mult_matrix` and
-    ranked again by exact elimination, so every failure rank is exact.
+    map is never skipped.  A map of a two-variable module is ranked exactly
+    by the window rule on its bases' y-exponents (see
+    :func:`lgv._window_rank`).  Any other map is ranked mod p from its
+    source monomials' images (see :func:`_images`).  A rank mod p is never
+    above the rational rank, so an F_p rank of ``expected`` proves maximal
+    rank; any other map is built over the integers by :func:`mult_matrix`
+    and ranked again by exact elimination, so every failure rank is exact.
     """
     series = module.hilbert_series()
     if series.is_zero:
@@ -243,11 +246,20 @@ def _scan_maps(
                 continue
             # through degree_basis, the name under which benchmarks/spans.py times basis reads
             source, target = module.degree_basis(i), module.degree_basis(i + d)
-            rank = _rank_mod_p(
-                _images(source, target, ell.power_expansion(d), CERTIFICATE_PRIME)
-            )
-            if rank != expected:
-                rank = mult_matrix(module, ell, d, i).rank()
+            if module.nvars == 2:
+                x_coefficient, y_coefficient = ell.coefficients
+                rank = _window_rank(
+                    [u.exponents[1] for u in source],
+                    [v.exponents[1] for v in target],
+                    0 if x_coefficient else d,
+                    d if y_coefficient else 0,
+                )
+            else:
+                rank = _rank_mod_p(
+                    _images(source, target, ell.power_expansion(d), CERTIFICATE_PRIME)
+                )
+                if rank != expected:
+                    rank = mult_matrix(module, ell, d, i).rank()
             if rank != expected:
                 failures.append(MapFailure(i=i, d=d, rank=rank, expected=expected))
                 continue

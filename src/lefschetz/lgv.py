@@ -74,6 +74,27 @@ def lgv_positivity(a: Sequence[int], b: Sequence[int]) -> PathSign:
     return PathSign.POSITIVE if predicted_positive else PathSign.ZERO
 
 
+def _window_rank(sources: Sequence[int], targets: Sequence[int], lo: int, hi: int) -> int:
+    """Rank of a map whose entry (m, j) is nonzero exactly when lo <= m - j <= hi.
+
+    ``sources`` and ``targets`` are ascending y-exponents of two bases.  On
+    k[x, y] the map (times (ax + by)^d) has entry a^(d-k) b^k C(d, k),
+    k = m - j, with window (0, d), or (0, 0) if b = 0 and (d, d) if a = 0.
+    By Lindstrom-Gessel-Viennot its ordered minors count non-intersecting
+    path families, so the rank is the largest matching of sources to
+    targets in the window (see the README), which the greedy one finds.
+    """
+    rank = t = 0
+    for j in sources:
+        # a target below j + lo is below the window of every later source too
+        while t < len(targets) and targets[t] < j + lo:
+            t += 1
+        if t < len(targets) and targets[t] <= j + hi:
+            rank += 1
+            t += 1
+    return rank
+
+
 @lru_cache(maxsize=PATH_CACHE_SIZE)
 def _path_masks(start: tuple[int, int], end: tuple[int, int]) -> tuple[int, ...]:
     """All East/North lattice paths between two points, as vertex bitmasks.

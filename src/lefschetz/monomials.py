@@ -412,6 +412,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -473,5 +474,13 @@ def parse_ideal(text: str, nvars: Optional[int] = None) -> MonomialIdeal:
         return MonomialIdeal.zero(nvars)
     if not stripped:
         raise ParseError("empty ideal expression", 0)
-    gens = [parse_monomial(part, nvars) for part in stripped.split(",")]
+    gens = []
+    # where the part starts in the whole text, so its errors point there
+    start = len(text) - len(text.lstrip())
+    for part in stripped.split(","):
+        try:
+            gens.append(parse_monomial(part, nvars))
+        except ParseError as error:
+            raise ParseError(error.message, start + error.position) from None
+        start += len(part) + 1
     return MonomialIdeal.from_generators(gens, nvars=nvars)

@@ -103,6 +103,12 @@ def test_parse_error_exits_two(capsys):
     assert "error:" in err
 
 
+def test_parse_error_names_its_position_in_the_whole_expression(capsys):
+    code, _, err = run(capsys, "check", "slp", "--num", "1", "--den", "x^3, y^3, x*y**2")
+    assert code == 2
+    assert err == "error: unexpected '*' (at position 14)\n"
+
+
 def test_unknown_variable_exits_two(capsys):
     for argv in (
         ("csm", "--ideal", "x^2, y^2", "--variable", "q"),

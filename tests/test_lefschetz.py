@@ -218,6 +218,38 @@ def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
     assert set(expanded) == set(built)
 
 
+def test_two_variable_scan_builds_no_matrix(monkeypatch):
+    # connected and failing, so the F_p kernel would fall short and Bareiss run
+    module = QuotientModule(parse_ideal("x^6, y"), parse_ideal("x^9, x^6*y^2, y^3"))
+    forms = [LinearForm(c) for c in ((1, 1), (-3, 2), (1, 0), (0, 5), (CERTIFICATE_PRIME, 1))]
+    expected = {
+        (form, only_d_one): unpruned_failures([Summand(module, form=form)], only_d_one)
+        for form in forms
+        for only_d_one in (True, False)
+    }
+    assert len(expected[forms[0], False]) == 4
+    read = []
+    degree_basis = QuotientModule.degree_basis
+
+    def no_matrix(*args):
+        raise AssertionError("a two-variable map was assembled or eliminated")
+
+    def spy_basis(module, d):
+        read.append(d)
+        return degree_basis(module, d)
+
+    monkeypatch.setattr(lefschetz_module, "_images", no_matrix)
+    monkeypatch.setattr(lefschetz_module, "_rank_mod_p", no_matrix)
+    monkeypatch.setattr(ExactMatrix, "rank", no_matrix)
+    monkeypatch.setattr(LinearForm, "power_expansion", no_matrix)
+    monkeypatch.setattr(QuotientModule, "degree_basis", spy_basis)
+    assert check_slp(module).failures == expected[forms[0], False]
+    # the scan still reads its bases through degree_basis
+    assert read
+    for (form, only_d_one), failures in expected.items():
+        assert lefschetz_module._scan_maps(module, form, only_d_one) == failures
+
+
 def test_split_complete_intersection_builds_no_matrix(monkeypatch):
     module = algebra_quotient(parse_ideal("x^8, y^8, z^8"))
 
@@ -295,7 +327,13 @@ def test_report_invariant_is_an_internal_error():
 
 @pytest.mark.parametrize(
     "den, form",
-    [("x^2, y^2, z^2", (1, 1, 1)), ("x^2, y^2", (1, 0)), ("x^3, y^3, x*y^2", (1, 1))],
+    [
+        ("x^2, y^2, z^2", (1, 1, 1)),
+        # connected three-variable modules: a two-variable scan ranks by the
+        # window rule and never reaches the F_p kernel
+        pytest.param("x^2, y^2, z^2, x*y*z", (1, 0, 1), id="x*y*z-cut"),
+        pytest.param("x^3, y^3, z^2, x*y^2*z", (1, 1, 1), id="x*y^2*z-cut"),
+    ],
 )
 def test_certificate_prime_multiples_fall_back_to_exact_ranks(monkeypatch, den, form):
     # Every coefficient of p * form is 0 mod p, so each certificate rank is 0

@@ -88,6 +88,23 @@ def test_parse_ideal():
     assert parse_ideal("1", nvars=2).is_unit
 
 
+@pytest.mark.parametrize(
+    "text, nvars, message, position",
+    [
+        ("x^2, y^3, q", 3, "unknown variable 'q'", 10),
+        ("  x, y^^2", 2, "unexpected character '^'", 6),
+        ("x^3, y^3, x*y**2", 2, "unexpected '*'", 14),
+    ],
+)
+def test_parse_ideal_error_positions_are_in_the_whole_text(text, nvars, message, position):
+    with pytest.raises(ParseError) as caught:
+        parse_ideal(text, nvars)
+    assert caught.value.position == position
+    assert str(caught.value) == f"{message} (at position {position})"
+    # the position holds the quoted character
+    assert text[position] == message[-2]
+
+
 def test_ideal_membership_and_ops():
     ideal = parse_ideal("x^2, x*y, y^3")
     assert ideal.contains(Monomial((2, 1)))

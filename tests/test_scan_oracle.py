@@ -9,7 +9,7 @@ live only here.
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lefschetz import (
     ExactMatrix,
@@ -25,6 +25,7 @@ from lefschetz import (
     direct_sum_check,
     monomials_of_degree,
     mult_matrix,
+    parse_ideal,
     tensor_slp_condition,
     tensor_truncation_failures,
     type_two_ideal,
@@ -264,6 +265,40 @@ def test_images_mod_p_are_the_matrix_columns_mod_p(module, coeffs, d):
         assert len(images) == matrix.cols
         for j, image in enumerate(images):
             assert image == [matrix.at(r, j) % p for r in range(matrix.rows)]
+
+
+@st.composite
+def two_variable_modules(draw):
+    """(I + J)/J in k[x, y]: I has 1-5 generators, J mixed ones besides its pure powers."""
+    exps = st.tuples(st.integers(0, 5), st.integers(0, 5)).map(Monomial)
+    mixed = st.tuples(st.integers(1, 5), st.integers(1, 5)).map(Monomial)
+    caps = draw(st.tuples(st.integers(1, 7), st.integers(1, 7)))
+    den = [variable_power(2, v, c) for v, c in enumerate(caps)]
+    den += draw(st.lists(mixed, min_size=1, max_size=3))
+    num = draw(st.lists(exps, min_size=1, max_size=5))
+    return QuotientModule(
+        MonomialIdeal.from_generators(num, 2), MonomialIdeal.from_generators(den, 2)
+    )
+
+
+def parsed_module(num, den):
+    return QuotientModule(parse_ideal(num, 2), parse_ideal(den, 2))
+
+
+# Connected failing modules under the all-ones form, a negative form, a zero
+# coefficient and a multiple of the certificate prime.
+@example(parsed_module("x^6, y", "x^9, x^6*y^2, y^3"), (1, 1))
+@example(parsed_module("x^4, y", "x^7, x^4*y^2, y^3"), (-2, 3))
+@example(parsed_module("x, y^2", "x^4, x*y^3, y^5"), (1, 0))
+@example(parsed_module("1", "x^3, x*y, y^3"), (0, -1))
+@example(parsed_module("x^6, y", "x^9, x^6*y^2, y^3"), (CERTIFICATE_PRIME, -1))
+@settings(max_examples=150, deadline=None)
+@given(two_variable_modules(), st.tuples(form_coefficients, form_coefficients))
+def test_window_rank_scan_matches_oracle_on_two_variable_modules(module, coeffs):
+    form = LinearForm(coeffs if any(coeffs) else (1, 1))
+    for only_d_one in (True, False):
+        unpruned = unpruned_failures([Summand(module, form=form)], only_d_one)
+        assert _scan_maps(module, form, only_d_one) == unpruned
 
 
 def test_packed_assembly_handles_empty_bases():
