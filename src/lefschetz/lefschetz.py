@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, le, mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .exact import CERTIFICATE_PRIME, ExactMatrix, _rank_mod_p, multinomial
@@ -33,8 +33,8 @@ from .series import (
     is_symmetric,
 )
 
-# Bound on the memoised (form, power) expansions; a scan asks for each
-# power once per source degree.
+# Bound on the memoised packed powers (see :func:`_packed_power`); a scan
+# asks for each power once per source degree, under one radix and modulus.
 EXPANSION_CACHE_SIZE = 256
 
 
@@ -67,22 +67,15 @@ class LinearForm:
             for _ in range(count)
         ]
 
-    @lru_cache(maxsize=EXPANSION_CACHE_SIZE)
     def power_expansion(self, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Monomial expansion of the d-th power: (exponent vector, coefficient).
-
-        Memoised per (form, d), so the result is an immutable tuple.
-        """
+        """Monomial expansion of the d-th power: (exponent vector, coefficient)."""
         if d < 0:
             raise ValueError("power must be nonnegative")
         terms = []
         for m in monomials_of_degree(self.nvars, d):
-            coeff = multinomial(d, m.exponents)
-            for c, e in zip(self.coefficients, m.exponents):
-                if e:
-                    coeff *= c**e
+            coeff = math.prod(map(pow, self.coefficients, m.exponents))
             if coeff:
-                terms.append((m.exponents, coeff))
+                terms.append((m.exponents, multinomial(d, m.exponents) * coeff))
         return tuple(terms)
 
     def __str__(self) -> str:
@@ -121,45 +114,47 @@ class LefschetzReport:
             raise ReportInvariantError("holds must mirror an empty failure list")
 
 
-def _images(
-    source: Sequence[Monomial],
-    target: Sequence[Monomial],
-    expansion: Sequence[tuple[tuple[int, ...], int]],
-    modulus: Optional[int],
-) -> list[list[int]]:
-    """Each source monomial's image under an expanded form power, on the target.
+def _pack(exponents: Sequence[int], shift: int) -> int:
+    """An exponent vector as one integer, one digit of radix 2^shift per slot."""
+    code = 0
+    for e in exponents:
+        code = code << shift | e
+    return code
 
-    The bases are monomials of one homogeneous degree each, and the
-    target's degree is the source's degree plus the power's.  An image
-    lists one coefficient per target monomial, reduced mod ``modulus``
-    unless it is None.  An exponent vector is packed into one integer with
-    radix target degree + 1: no slot of a product reaches the radix, so
-    adding two codes adds the vectors, and distinct terms land on distinct
-    target monomials.  A term with a slot above that slot's largest target
-    exponent can never land on the target and is dropped before the loop.
+
+@lru_cache(maxsize=EXPANSION_CACHE_SIZE)
+def _packed_power(ell: LinearForm, d: int, shift: int, modulus: Optional[int]) -> dict:
+    """The terms of ell^d as packed code -> coefficient, reduced mod ``modulus``
+    unless it is None, zeros left out.  Memoised: never change the dict."""
+    table = {}
+    for exps, coeff in ell.power_expansion(d):
+        if modulus is not None:
+            coeff %= modulus
+        if coeff:
+            table[_pack(exps, shift)] = coeff
+    return table
+
+
+def _images(source: Sequence[int], target: Sequence[int], table: dict) -> list[list[int]]:
+    """Each source monomial's image under a packed power, on the target.
+
+    The bases are the packed codes of one degree each, and ``table`` is a
+    :func:`_packed_power` in the same radix 2^shift, above the target degree.
+    Entry (v, u) is the coefficient of the term v - u.  A v - u with a
+    negative digit is no key: it is negative, or its digits, all in
+    (-2^shift, 2^shift), need a borrow, and each borrow lifts the digit sum
+    by 2^shift - 1, above the power's degree.  A table shorter than the
+    target is scattered instead: no digit of u + c reaches the radix.
     """
-    rows = len(target)
-    if not rows or not source:
-        return [[0] * rows for _ in source]
-    radix = target[0].degree + 1
-    weights = [radix**k for k in reversed(range(len(target[0].exponents)))]
-    tops = [max(slot) for slot in zip(*[m.exponents for m in target])]
-    # target code -> its position in an image
-    position = {
-        sum(map(mul, m.exponents, weights)): r for r, m in enumerate(target)
-    }
-    terms = [
-        (sum(map(mul, exps, weights)), coeff if modulus is None else coeff % modulus)
-        for exps, coeff in expansion
-        if all(map(le, exps, tops))
-    ]
-    get = position.get
+    if len(table) >= len(target):
+        get = table.get
+        return [[get(v - u, 0) for v in target] for u in source]
+    position = {v: r for r, v in enumerate(target)}
     images = []
     for u in source:
-        base = sum(map(mul, u.exponents, weights))
-        image = [0] * rows
-        for packed, coeff in terms:
-            at = get(base + packed)
+        image = [0] * len(target)
+        for c, coeff in table.items():
+            at = position.get(u + c)
             if at is not None:
                 image[at] = coeff
         images.append(image)
@@ -178,8 +173,10 @@ def mult_matrix(
         raise ValueError("power must be at least 1")
     if ell.nvars != module.nvars:
         raise ValueError("linear form ambient ring mismatch")
-    source, target = module.degree_basis(i), module.degree_basis(i + d)
-    images = _images(source, target, ell.power_expansion(d), None)
+    shift = (i + d).bit_length()
+    source, target = ([_pack(m.exponents, shift) for m in module.degree_basis(k)]
+                      for k in (i, i + d))
+    images = _images(source, target, _packed_power(ell, d, shift, None))
     # the images are the columns
     entries = tuple(e for row in zip(*images) for e in row)
     return ExactMatrix(len(target), len(source), entries)
@@ -229,9 +226,19 @@ def _scan_maps(
     if series.is_zero:
         return ()
     p, q = series.start, series.end
-    # dims[k] = h_(p+k); the scan reads only degrees in [p, q].
+    # dims[k] = h_(p+k) and bases[k] is that degree's basis, read once through
+    # degree_basis (the name under which benchmarks/spans.py times basis reads)
+    # as y-exponents in two variables, else as codes in one radix above q.
     dims = series.coeffs
     max_d = 1 if only_d_one else q - p
+    bases = [module.degree_basis(k) for k in range(p, q + 1)]
+    if module.nvars == 2:
+        # the window of ell^d is (0, d), or (d, d) without x and (0, 0) without y
+        x, y = ell.coefficients
+        bases = [[u.exponents[1] for u in basis] for basis in bases]
+    else:
+        shift = q.bit_length()
+        bases = [[_pack(u.exponents, shift) for u in basis] for basis in bases]
     # Longest verified injective map out of each degree, surjective map onto it.
     injective_from: dict[int, int] = {}
     surjective_onto: dict[int, int] = {}
@@ -244,20 +251,12 @@ def _scan_maps(
                 continue
             if injective_from.get(i, 0) >= d or surjective_onto.get(i + d, 0) >= d:
                 continue
-            # through degree_basis, the name under which benchmarks/spans.py times basis reads
-            source, target = module.degree_basis(i), module.degree_basis(i + d)
+            source, target = bases[i - p], bases[i + d - p]
             if module.nvars == 2:
-                x_coefficient, y_coefficient = ell.coefficients
-                rank = _window_rank(
-                    [u.exponents[1] for u in source],
-                    [v.exponents[1] for v in target],
-                    0 if x_coefficient else d,
-                    d if y_coefficient else 0,
-                )
+                rank = _window_rank(source, target, 0 if x else d, d if y else 0)
             else:
-                rank = _rank_mod_p(
-                    _images(source, target, ell.power_expansion(d), CERTIFICATE_PRIME)
-                )
+                table = _packed_power(ell, d, shift, CERTIFICATE_PRIME)
+                rank = _rank_mod_p(_images(source, target, table))
                 if rank != expected:
                     rank = mult_matrix(module, ell, d, i).rank()
             if rank != expected:

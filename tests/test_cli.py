@@ -226,6 +226,17 @@ PINNED_JSON_DIGESTS = {
         "d9c5ba96f5d2c757425c0d4b989ed90ab8998ae3bc807317c58537f13e318268",
     ("check", "wlp", "--num", "x^2, y^2, z^2", "--den", "x^3, y^3, z^3"):
         "b9abebce7c5e84be26404d5cdf7acec6f346cf634e5fd54f9f762bec94759b90",
+    # connected, with one failure ranked exactly
+    ("check", "slp", "--num", "1", "--den", "x^8, y^8, z^8, x^4*y^4*z^4"):
+        "f580d5f282a188d6eff38e3a8ec28badee1adbff438f44b2cd334e6bb81aa37e",
+    ("check", "slp", "--num", "1", "--den", "x^6, y^6, z^6, x^5*y^5*z^5",
+     "--linear-form", "-1,2,32749"):
+        "84a3c4d3c6dc467bb2223b57cd443e25d7f77b55faf26c732cbb0a49a261b229",
+    ("check", "slp", "--num", "1", "--den", "x^3, y^3, z^3, t^3, x^2*y^2*z^2*t^2"):
+        "965f5c4723ec8ab919525ffc26a4a4483805e718f760032275e61244755b874b",
+    # top degree 16 sits on a radix boundary
+    ("check", "slp", "--num", "1", "--den", "x^17", "--vars", "1"):
+        "e0c0f0285ed64ec4e857148c74b0d0e65805be9e09cbdf28a1e3390f6be284e5",
 }
 
 

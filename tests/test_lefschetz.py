@@ -178,21 +178,27 @@ def test_split_direct_sum_builds_no_matrix(monkeypatch):
 def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
     module = algebra_quotient(parse_ideal("x^8, y^8, z^8"))
     expanded, built, assembled, certified, ranked = [], [], [], [], []
-    expansion_power = {}
+    table_power = {}
     power_expansion = LinearForm.power_expansion
+    packed_power = lefschetz_module._packed_power
     images = lefschetz_module._images
     rank = ExactMatrix.rank
     kernel = lefschetz_module._rank_mod_p
+    packed_power.cache_clear()
 
     def spy_expansion(form, d):
-        terms = power_expansion(form, d)
         expanded.append(d)
-        expansion_power[id(terms)] = (d, terms)
-        return terms
+        return power_expansion(form, d)
 
-    def spy_images(source, target, expansion, modulus):
-        built.append(expansion_power[id(expansion)][0])
-        assembled.append(images(source, target, expansion, modulus))
+    def spy_packed(form, d, shift, modulus):
+        assert modulus == CERTIFICATE_PRIME
+        table = packed_power(form, d, shift, modulus)
+        table_power[id(table)] = (d, table)
+        return table
+
+    def spy_images(source, target, table):
+        built.append(table_power[id(table)][0])
+        assembled.append(images(source, target, table))
         return assembled[-1]
 
     def spy_kernel(lines):
@@ -204,6 +210,7 @@ def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
         return rank(matrix)
 
     monkeypatch.setattr(LinearForm, "power_expansion", spy_expansion)
+    monkeypatch.setattr(lefschetz_module, "_packed_power", spy_packed)
     monkeypatch.setattr(lefschetz_module, "_images", spy_images)
     monkeypatch.setattr(lefschetz_module, "_rank_mod_p", spy_kernel)
     monkeypatch.setattr(ExactMatrix, "rank", spy_rank)
@@ -215,7 +222,12 @@ def test_scan_expands_only_the_powers_it_ranks(monkeypatch):
     assert len(built) > 0
     assert [id(m) for m in certified] == [id(m) for m in assembled]
     assert not ranked
-    assert set(expanded) == set(built)
+    # each power is expanded once, from the cleared cache, and only if ranked
+    assert sorted(expanded) == sorted(set(built))
+    # a second scan reads every power from the cache
+    expanded.clear()
+    assert lefschetz_module._scan_maps(module, LinearForm.all_ones(3), False) == ()
+    assert not expanded
 
 
 def test_two_variable_scan_builds_no_matrix(monkeypatch):

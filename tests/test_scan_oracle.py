@@ -8,6 +8,7 @@ live only here.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -37,6 +38,8 @@ from lefschetz.lefschetz import (
     _failures_of,
     _images,
     _module_strings,
+    _pack,
+    _packed_power,
     _scan_maps,
     _split_strings,
     _strings,
@@ -247,6 +250,19 @@ form_coefficients = st.one_of(
 )
 
 
+def codes(module, degree, shift):
+    return [_pack(m.exponents, shift) for m in module.degree_basis(degree)]
+
+
+def unpack(code, shift, nvars):
+    """The exponent vector of a code, read one digit of radix 2^shift per slot."""
+    digits = []
+    for _ in range(nvars):
+        digits.append(code & ((1 << shift) - 1))
+        code >>= shift
+    return tuple(reversed(digits))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     artinian_modules(),
@@ -254,17 +270,118 @@ form_coefficients = st.one_of(
     st.integers(1, 4),
 )
 def test_images_mod_p_are_the_matrix_columns_mod_p(module, coeffs, d):
+    _packed_power.cache_clear()
     coeffs = coeffs[: module.nvars]
     form = LinearForm(tuple(coeffs) if any(coeffs) else (1,) * module.nvars)
     p = CERTIFICATE_PRIME
     for i in range(module.top_degree_bound() + 1):
         matrix = mult_matrix(module, form, d, i)
+        # mult_matrix's radix, so its integer table is cached beside this one
+        shift = (i + d).bit_length()
         images = _images(
-            module.degree_basis(i), module.degree_basis(i + d), form.power_expansion(d), p
+            codes(module, i, shift), codes(module, i + d, shift), _packed_power(form, d, shift, p)
         )
         assert len(images) == matrix.cols
         for j, image in enumerate(images):
             assert image == [matrix.at(r, j) % p for r in range(matrix.rows)]
+
+
+class Steered(dict):
+    """A packed power that reports a chosen length, so that :func:`_images`
+    takes the lookup branch (a length at least the target's) or the
+    scatter branch (a shorter one) whatever its true length."""
+
+    def __init__(self, table, length):
+        super().__init__(table)
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+
+@st.composite
+def packed_modules(draw):
+    """(I + J)/J in 1, 3 or 4 variables; top degrees reach 2^k - 1 and 2^k."""
+    nvars = draw(st.sampled_from([1, 3, 4]))
+    top_cap = {1: 18, 3: 5, 4: 3}[nvars]
+    caps = draw(st.tuples(*[st.integers(1, top_cap)] * nvars))
+    exps = st.tuples(*[st.integers(0, top_cap - 1)] * nvars).map(Monomial)
+    den = [variable_power(nvars, v, c) for v, c in enumerate(caps)]
+    den += draw(st.lists(exps, max_size=2))
+    num = draw(st.lists(exps, max_size=2))
+    return QuotientModule(
+        MonomialIdeal.from_generators(num, nvars) if num else MonomialIdeal.unit(nvars),
+        MonomialIdeal.from_generators(den, nvars),
+    )
+
+
+def algebra(den, nvars):
+    return algebra_quotient(parse_ideal(den, nvars))
+
+
+# Top degrees 7, 8, 15, 16 and 17 sit next to a radix boundary; the forms
+# hold zero, negative, 32749-multiple and large coefficients.
+@example(algebra("x^3, y^3, z^4", 3), (1, -2, CERTIFICATE_PRIME, 0))
+@example(algebra("x^3, y^3, z^5, x*y*z^2", 3), (2 * CERTIFICATE_PRIME + 1, 0, -1, 0))
+@example(algebra("x^3, y^3, z^3, t^2", 4), (-(2**20), 3, 0, 1))
+@example(algebra("x^3, y^3, z^3, t^3, x^2*y^2*z^2*t^2", 4), (1, 1, 1, 1))
+@example(algebra("x^16", 1), (-3, 0, 0, 0))
+@example(algebra("x^17", 1), (-CERTIFICATE_PRIME, 0, 0, 0))
+@example(QuotientModule(parse_ideal("x^8", 1), parse_ideal("x^18", 1)), (2**20, 0, 0, 0))
+@settings(max_examples=60, deadline=None)
+@given(packed_modules(), st.lists(form_coefficients, min_size=4, max_size=4))
+def test_packed_images_match_tuple_oracle(module, coeffs):
+    _packed_power.cache_clear()
+    coeffs = coeffs[: module.nvars]
+    form = LinearForm(tuple(coeffs) if any(coeffs) else (1,) * module.nvars)
+    p = CERTIFICATE_PRIME
+    series = module.hilbert_series()
+    top = 0 if series.is_zero else series.end
+    for i in range(top + 1):
+        for d in range(1, top + 1 - i):
+            reference = tuple_matrix_between(
+                module.degree_basis(i), module.degree_basis(i + d), form.power_expansion(d)
+            )
+            assert mult_matrix(module, form, d, i) == reference
+            columns = [[reference.at(r, j) for r in range(reference.rows)]
+                       for j in range(reference.cols)]
+            residues = [[e % p for e in column] for column in columns]
+            # the map's own radix, as in mult_matrix, and the scan's
+            for shift in {(i + d).bit_length(), top.bit_length()}:
+                source, target = codes(module, i, shift), codes(module, i + d, shift)
+                for modulus, expected in ((None, columns), (p, residues)):
+                    table = _packed_power(form, d, shift, modulus)
+                    assert _images(source, target, table) == expected
+                    for length in (0, len(target)):
+                        assert _images(source, target, Steered(table, length)) == expected
+    # every map the scan assembles, mod p or over the integers when it falls
+    # short, on the radix it chose, is the oracle's
+    powers = {}
+
+    def spy_packed(ell, d, shift, modulus):
+        table = _packed_power(ell, d, shift, modulus)
+        powers[id(table)] = (d, shift, modulus)
+        return table
+
+    def spy_images(source, target, table):
+        d, shift, modulus = powers[id(table)]
+        bases = []
+        for packed in (source, target):
+            vectors = [unpack(code, shift, module.nvars) for code in packed]
+            # the codes are one degree's basis, packed with no digit overflowing
+            bases.append(module.degree_basis(sum(vectors[0])))
+            assert vectors == [m.exponents for m in bases[-1]]
+        reference = tuple_matrix_between(*bases, form.power_expansion(d))
+        images = _images(source, target, table)
+        for j, image in enumerate(images):
+            column = [reference.at(r, j) for r in range(reference.rows)]
+            assert image == (column if modulus is None else [e % modulus for e in column])
+        return images
+
+    with mock.patch.object(lefschetz_module, "_packed_power", spy_packed), \
+            mock.patch.object(lefschetz_module, "_images", spy_images):
+        failures = _scan_maps(module, form, False)
+    assert failures == unpruned_failures([Summand(module, form=form)], only_d_one=False)
 
 
 @st.composite
