@@ -515,6 +515,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(_attach_negative_forms(argv))
+    output = args.format or os.environ.get(FORMAT_ENV_VAR) or "text"
+    if output not in ("text", "json"):
+        print(f"error: {FORMAT_ENV_VAR} must be text or json, got {output!r}", file=sys.stderr)
+        return USAGE_ERROR
     started = time.monotonic()
     try:
         body, exit_code = args.handler(args)
@@ -540,7 +544,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "runtime_ms": int((time.monotonic() - started) * 1000),
         "version": __version__,
     }
-    if (args.format or os.environ.get(FORMAT_ENV_VAR, "text")) == "json":
+    if output == "json":
         # JSON reports must be byte-identical across runs for one input, so
         # the variable timing is zeroed there; the text rendering keeps it.
         report["runtime_ms"] = 0

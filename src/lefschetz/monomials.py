@@ -12,7 +12,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import le
 from typing import Iterable, Iterator, Optional
 
 from .series import HilbertSeries
@@ -106,6 +105,23 @@ def divisible_by_any(
         else:
             return True
     return False
+
+
+def _cell(exponents: tuple[int, ...]) -> Monomial:
+    """A basis cell's Monomial, made without re-running the validation."""
+    cell = object.__new__(Monomial)
+    object.__setattr__(cell, "exponents", exponents)
+    return cell
+
+
+def _lower(bounds: dict, head_caps: list[int], generators) -> dict:
+    """Lower, in place, each prefix's bound to the last exponent of every
+    generator whose head divides the prefix; returns ``bounds``."""
+    for *head, e in generators:
+        for prefix in itertools.product(*map(range, head, head_caps)):
+            if bounds[prefix] > e:
+                bounds[prefix] = e
+    return bounds
 
 
 def sort_descending(monomials: Iterable[Monomial]) -> list[Monomial]:
@@ -292,32 +308,29 @@ class QuotientModule:
         Call a generator's exponents but the last its head: in a column
         whose prefix its head divides, the generator divides exactly the
         cells whose last exponent is at least its own last.  So a column's
-        basis is one interval [lo, hi) of last exponents: hi is the last cap
-        or the least last exponent of a wall (a denominator generator in two
-        or more variables; a pure power never divides a cell of its box)
-        whose head divides the prefix, and lo the least last exponent of a
-        numerator generator whose head divides it.  Prefixes and last
-        exponents are walked in descending order, so every bucket is in
-        descending lex order.  A degree without a bucket is zero.
+        basis is one interval [lo, hi) of last exponents.  hi starts at the
+        last cap, and each denominator generator (h, e) lowers it to e on the
+        sub-box of prefixes h divides, the product of the ranges [h_v, c_v)
+        (a pure power's sub-box is empty, or its e is the last cap); lo
+        starts at hi and each numerator generator lowers it the same way.
+        Prefixes and last exponents are walked in descending order, so every
+        bucket is in descending lex order.  A degree without a bucket is
+        zero.  Cells skip Monomial's validation, which cannot fail for them:
+        their exponents come from the ranges of caps the ideals validated.
         """
         if self.numerator.is_zero:
             return {}
         self.refuse_large_box()
         *head_caps, last_cap = self.denominator.pure_power_caps
-        walls = [
-            (g[:-1], g[-1])
-            for g in self.denominator.generator_exponents
-            if sum(1 for e in g if e) > 1
-        ]
-        numerator = [(g[:-1], g[-1]) for g in self.numerator.generator_exponents]
-        members: dict[int, list[Monomial]] = {}
-        for prefix in itertools.product(*(range(c - 1, -1, -1) for c in head_caps)):
-            hi = min((e for h, e in walls if all(map(le, h, prefix))), default=last_cap)
-            lo = min((e for h, e in numerator if all(map(le, h, prefix))), default=hi)
+        hi = dict.fromkeys(itertools.product(*(range(c - 1, -1, -1) for c in head_caps)), last_cap)
+        _lower(hi, head_caps, self.denominator.generator_exponents)
+        lo = _lower(dict(hi), head_caps, self.numerator.generator_exponents)
+        members: list[list[Monomial]] = [[] for _ in range(self.top_degree_bound() + 1)]
+        for prefix, top in hi.items():
             base = sum(prefix)
-            for e in range(hi - 1, lo - 1, -1):
-                members.setdefault(base + e, []).append(Monomial(prefix + (e,)))
-        return {d: tuple(basis) for d, basis in members.items()}
+            for e in range(top - 1, lo[prefix] - 1, -1):
+                members[base + e].append(_cell(prefix + (e,)))
+        return {d: tuple(basis) for d, basis in enumerate(members) if basis}
 
     def degree_basis(self, d: int) -> list[Monomial]:
         """The degree-d basis in descending lex order, as a fresh list."""

@@ -9,6 +9,7 @@ module-level functions so sweeps can run on a process pool.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, Optional
@@ -65,8 +66,9 @@ def _run(
     jobs: int,
 ) -> list:
     items = list(items)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ValueError(f"jobs must be between 1 and {cpus}, got {jobs}")
     if not items:
         raise ValueError("empty corpus: the sweep parameters select no cases")
     if jobs == 1:

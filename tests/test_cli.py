@@ -344,6 +344,29 @@ def test_format_environment_is_read_on_every_call(capsys, monkeypatch):
     assert build_parser() is parser
 
 
+@pytest.mark.parametrize("value", ["JSON", "xml", " json"])
+def test_unknown_output_environment_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("LEFSCHETZ_OUTPUT", value)
+    # checked before the handler runs, so the bad ideal is never parsed
+    code, out, err = run(capsys, "hilbert", "--num", "1", "--den", "x^2, q")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: LEFSCHETZ_OUTPUT must be text or json, got {value!r}\n"
+
+
+def test_empty_output_environment_is_unset_and_format_overrides_it(capsys, monkeypatch):
+    argv = ("hilbert", "--num", "1", "--den", "x^2, y^2")
+    monkeypatch.setenv("LEFSCHETZ_OUTPUT", "")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("command: hilbert\n")
+    # --format decides alone; the variable is then not read
+    monkeypatch.setenv("LEFSCHETZ_OUTPUT", "xml")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["command"] == "hilbert"
+
+
 def test_short_linear_form_exits_two(capsys):
     code, _, err = run(
         capsys, "check", "wlp", "--num", "1", "--den", "x^2, y^2", "--linear-form", "1"

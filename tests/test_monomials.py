@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -275,6 +277,27 @@ def test_box_index_matches_per_degree_reference(module):
     assert module.hilbert_series() == HilbertSeries.from_coefficients(0, coeffs)
 
 
+@settings(max_examples=120, deadline=None)
+@given(artinian_modules())
+def test_box_index_cells_are_validated_monomials(module):
+    # The index makes its cells without re-running Monomial's validation, so
+    # each must still be the Monomial that the validating constructor makes.
+    for d in range(module.top_degree_bound() + 1):
+        basis = module.degree_basis(d)
+        for cell in basis:
+            made = Monomial(cell.exponents)
+            assert type(cell) is Monomial and type(cell.exponents) is tuple
+            assert cell == made and hash(cell) == hash(made)
+            assert pickle.loads(pickle.dumps(cell)) == made
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                cell.exponents = ()
+        # a returned list is the caller's own
+        basis.reverse()
+        basis.append(Monomial((0,) * module.nvars))
+        assert module.degree_basis(d) == reference_basis(module, d)
+        assert module.dimension_in_degree(d) == len(basis) - 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(artinian_modules(max_vars=3))
 def test_tensor_truncation_basis_is_the_product_basis(module):
@@ -392,6 +415,13 @@ def test_oversized_box_is_refused_before_enumeration():
         ("x*z", "x^3, y^2, z^4, x*y*z^2", 3,
          {2: [(1, 0, 1)], 3: [(2, 0, 1), (1, 1, 1), (1, 0, 2)],
           4: [(2, 1, 1), (2, 0, 2), (1, 0, 3)], 5: [(2, 0, 3)]}),
+        # four variables: nested wall heads x and x*y, walls y*z*t and y*z*t^2
+        # on one head (minimalisation keeps the lower), and a numerator
+        # generator t whose head is all zero
+        ("t", "x^2, y^2, z^2, t^3, x*t^2, x*y*t, y*z*t, y*z*t^2", 4,
+         {1: [(0, 0, 0, 1)],
+          2: [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2)],
+          3: [(1, 0, 1, 1), (0, 1, 0, 2), (0, 0, 1, 2)]}),
     ],
 )
 def test_box_index_edge_cases(num, den, nvars, expected):

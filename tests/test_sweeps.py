@@ -154,6 +154,26 @@ def test_empty_corpus_and_bad_job_count_are_rejected():
         sweep_main_theorem(amax=2, bmax=2, jobs=0)
 
 
+def test_jobs_over_the_cpu_count_are_refused_before_any_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(sweeps_module, "ProcessPoolExecutor", no_pool)
+    jobs = (sweeps_module.os.cpu_count() or 1) + 1
+    for sweep in (
+        lambda: sweep_tensor(limit=2, jobs=jobs),
+        lambda: sweep_type_two(limit=2, jobs=jobs),
+        lambda: sweep_main_theorem(amax=2, bmax=2, jobs=jobs),
+    ):
+        with pytest.raises(ValueError, match=f"jobs must be between 1 and {jobs - 1}, got {jobs}"):
+            sweep()
+    # An unknown CPU count allows one job only.
+    monkeypatch.setattr(sweeps_module.os, "cpu_count", lambda: None)
+    with pytest.raises(ValueError, match="between 1 and 1, got 2"):
+        sweep_tensor(limit=2, jobs=2)
+    assert sweep_tensor(limit=2, jobs=1)["ok"]
+
+
 def test_empty_lemma_corpora_are_rejected():
     with pytest.raises(ValueError, match="empty corpus"):
         sweep_almost_centered_lemma(limit=0)
