@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, mul
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .exact import CERTIFICATE_PRIME, ExactMatrix, _rank_mod_p, multinomial
@@ -204,6 +204,13 @@ class Summand:
         return self.module.hilbert_series().shifted(self.shift)
 
 
+def _has_socle(source: Sequence[int], target: Sequence[int], steps: Sequence[int]) -> bool:
+    """Whether some source monomial u has no x_v u = u + steps[v] in the
+    target basis, one degree up: whether its degree holds a socle monomial."""
+    targets = set(target)
+    return any(all(u + s not in targets for s in steps) for u in source)
+
+
 def _scan_maps(
     module: QuotientModule, ell: LinearForm, only_d_one: bool
 ) -> tuple[MapFailure, ...]:
@@ -214,13 +221,29 @@ def _scan_maps(
     shorter map out of M_i injective, and a surjective map onto M_j of
     length D makes every shorter map onto M_j surjective.  Such maps have
     maximal rank and are skipped; every other map is ranked, so a failing
-    map is never skipped.  A map of a two-variable module is ranked exactly
-    by the window rule on its bases' y-exponents (see
-    :func:`lgv._window_rank`).  Any other map is ranked mod p from its
-    source monomials' images (see :func:`_images`).  A rank mod p is never
-    above the rational rank, so an F_p rank of ``expected`` proves maximal
-    rank; any other map is built over the integers by :func:`mult_matrix`
-    and ranked again by exact elimination, so every failure rank is exact.
+    map is never skipped.
+
+    The WLP scan (``only_d_one``) carries maximal rank along d = 1 by two
+    rules (Migliore, Miro-Roig and Nagel, Trans. AMS 363 (2011), Prop. 2.1,
+    in module form).  Let g be the top degree of the numerator's minimal
+    generators, which generate M.  Surjectivity carries up: if
+    M_(i-1) -> M_i is onto and i >= g, then M_(i+1) = S_1 M_i
+    = ell S_1 M_(i-1), which lies in ell M_i, so M_i -> M_(i+1) is onto.
+    Injectivity carries down: if ell is injective on M_(i+1) and no
+    monomial of M_i is in the socle, then ell u = 0 gives ell x_v u = 0, so
+    x_v u = 0 for every variable and u lies in the socle, hence u = 0.  A
+    monomial u is in the socle when no x_v u is in the degree-(i+1) basis.
+    So the maps with h_(i+1) <= h_i are visited in ascending i and the
+    others in descending i; a map either rule proves is skipped, and
+    carries its own rule on.  A failing map proves nothing.
+
+    A map of a two-variable module is ranked exactly by the window rule on
+    its bases' y-exponents (see :func:`lgv._window_rank`).  Any other map
+    is ranked mod p from its source monomials' images (see
+    :func:`_images`).  A rank mod p is never above the rational rank, so an
+    F_p rank of ``expected`` proves maximal rank; any other map is built
+    over the integers by :func:`mult_matrix` and ranked again by exact
+    elimination, so every failure rank is exact.
     """
     series = module.hilbert_series()
     if series.is_zero:
@@ -239,12 +262,19 @@ def _scan_maps(
     else:
         shift = q.bit_length()
         bases = [[_pack(u.exponents, shift) for u in basis] for basis in bases]
+    if only_d_one:
+        g = max(map(sum, module.numerator.generator_exponents))
+        # x_v u is u + steps[v]: the y-exponent of x u is that of u, and no
+        # digit of a code below degree q carries
+        steps = (0, 1) if module.nvars == 2 else [1 << shift * k for k in range(module.nvars)]
+        falling = [i for i in range(p, q) if dims[i + 1 - p] <= dims[i - p]]
+        rising = [i for i in range(q - 1, p - 1, -1) if dims[i + 1 - p] > dims[i - p]]
     # Longest verified injective map out of each degree, surjective map onto it.
     injective_from: dict[int, int] = {}
     surjective_onto: dict[int, int] = {}
     failures = []
     for d in range(max_d, 0, -1):
-        for i in range(p, q - d + 1):
+        for i in falling + rising if only_d_one else range(p, q - d + 1):
             dim_source, dim_target = dims[i - p], dims[i + d - p]
             expected = min(dim_source, dim_target)
             if expected == 0:
@@ -252,7 +282,12 @@ def _scan_maps(
             if injective_from.get(i, 0) >= d or surjective_onto.get(i + d, 0) >= d:
                 continue
             source, target = bases[i - p], bases[i + d - p]
-            if module.nvars == 2:
+            if only_d_one and (
+                i >= g and i in surjective_onto
+                or i + 1 in injective_from and not _has_socle(source, target, steps)
+            ):
+                rank = expected
+            elif module.nvars == 2:
                 rank = _window_rank(source, target, 0 if x else d, d if y else 0)
             else:
                 table = _packed_power(ell, d, shift, CERTIFICATE_PRIME)
@@ -298,34 +333,6 @@ def direct_sum_check(
         failures=failures,
         linear_form=tuple(s.resolved_form() for s in summands),
     )
-
-
-def _components(module: QuotientModule) -> list[tuple[int, ...]]:
-    """The variable classes a tensor split of the module keeps apart.
-
-    The variables of each denominator generator are joined, and so are all
-    variables of the numerator, so the numerator lives in one class.  A
-    pure power joins nothing and is skipped.  A class and a support are
-    bitmasks over the variables.
-    """
-    nvars = module.nvars
-    bits = [1 << v for v in range(nvars)]
-    numerator = 0
-    for g in module.numerator.generator_exponents:
-        numerator |= sum(map(mul, map(bool, g), bits))
-    supports = [numerator] + [
-        sum(map(mul, map(bool, g), bits))
-        for g in module.denominator.generator_exponents
-        if g.count(0) < nvars - 1
-    ]
-    classes = bits
-    for support in supports:
-        joined = [c for c in classes if c & support]
-        if len(joined) > 1:
-            classes = [c for c in classes if not c & support] + [sum(joined)]
-            if len(classes) == 1:
-                return [tuple(range(nvars))]
-    return sorted(tuple(v for v in range(nvars) if c >> v & 1) for c in classes)
 
 
 def _restricted(ideal: MonomialIdeal, variables: tuple[int, ...]) -> MonomialIdeal:
@@ -414,20 +421,22 @@ def _failures_of(strings: Strings, only_d_one: bool = False) -> tuple[MapFailure
 def _split_strings(module: QuotientModule, ell: LinearForm) -> Optional[Strings]:
     """Graded Jordan type of a tensor-split module, read from its factors.
 
-    A module whose variable classes (see :func:`_components`) are apart is
-    the tensor product of one module per class, and ell acts on it as the
-    sum of its restrictions, so its strings are the graded Clebsch-Gordan
-    product of the factors' and the product box is never walked.  A
-    one-variable factor k[x_v]/(x_v^c) is the single string (0, c); any
-    other factor is read by :func:`_module_strings`.  None when the module
-    is zero, has one class, or ell vanishes on some class.
+    A module whose variable classes (``QuotientModule._components``) are
+    apart is the tensor product of one module per class, and ell acts on it
+    as the sum of its restrictions, so its strings are the graded
+    Clebsch-Gordan product of the factors' and the product box is never
+    walked.  A one-variable factor k[x_v]/(x_v^c) is the single string
+    (0, c); any other factor is read by :func:`_module_strings`.  None when
+    the module is zero, has one class, or ell vanishes on some class.  The
+    classes are built once per module, so the second attempt that
+    :func:`check_slp` makes for :func:`_module_strings` costs a few lookups.
     """
     caps = module.denominator.pure_power_caps
     # Only the unit ideal has a cap of 0, and it makes the module zero.
     if module.numerator.is_zero or 0 in caps:
         return None
     module.refuse_large_box()
-    components = _components(module)
+    components = module._components
     if len(components) == 1:
         return None
     forms = [tuple(ell.coefficients[v] for v in c) for c in components]

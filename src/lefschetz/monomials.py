@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Iterator, Optional
 
 from .series import HilbertSeries
@@ -331,6 +332,34 @@ class QuotientModule:
             for e in range(top - 1, lo[prefix] - 1, -1):
                 members[base + e].append(_cell(prefix + (e,)))
         return {d: tuple(basis) for d, basis in enumerate(members) if basis}
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """The variable classes a tensor split of the module keeps apart.
+
+        The variables of each denominator generator are joined, and so are
+        all variables of the numerator, so the numerator lives in one class.
+        A pure power joins nothing and is skipped.  A class and a support are
+        bitmasks over the variables.  Built once, like the basis index.
+        """
+        nvars = self.nvars
+        bits = [1 << v for v in range(nvars)]
+        numerator = 0
+        for g in self.numerator.generator_exponents:
+            numerator |= sum(map(mul, map(bool, g), bits))
+        supports = [numerator] + [
+            sum(map(mul, map(bool, g), bits))
+            for g in self.denominator.generator_exponents
+            if g.count(0) < nvars - 1
+        ]
+        classes = bits
+        for support in supports:
+            joined = [c for c in classes if c & support]
+            if len(joined) > 1:
+                classes = [c for c in classes if not c & support] + [sum(joined)]
+                if len(classes) == 1:
+                    return (tuple(range(nvars)),)
+        return tuple(sorted(tuple(v for v in range(nvars) if c >> v & 1) for c in classes))
 
     def degree_basis(self, d: int) -> list[Monomial]:
         """The degree-d basis in descending lex order, as a fresh list."""

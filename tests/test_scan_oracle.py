@@ -23,6 +23,7 @@ from lefschetz import (
     TensorCondition,
     algebra_quotient,
     check_slp,
+    check_wlp,
     direct_sum_check,
     monomials_of_degree,
     mult_matrix,
@@ -482,6 +483,95 @@ def test_pruned_scan_skips_implied_maps(monkeypatch):
     ranked.clear()
     assert unpruned_failures([Summand(module)], only_d_one=False) == ()
     assert 0 < pruned < len(ranked) // 4
+
+
+def wlp_module(rng):
+    """A three-variable module where the WLP scan's rules often stop.
+
+    Half the denominators get a wall above a low monomial u (every x_v u),
+    which makes u a socle monomial.  Half the numerators get a low x_v^a
+    beside generators with less x_v and high other exponents, minimal
+    generators of degree 4 or more whose monomials are new only late.
+    """
+    box = [rng.randint(2, 7) for _ in range(3)]
+    den = [variable_power(3, v, c) for v, c in enumerate(box)]
+    den += [Monomial(tuple(rng.randint(0, c - 1) for c in box)) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        u = [rng.randint(0, min(2, c - 1)) for c in box]
+        den += [Monomial(tuple(e + (v == w) for w, e in enumerate(u))) for v in range(3)]
+    num = [Monomial(tuple(rng.randint(0, c - 1) for c in box)) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        v = rng.randrange(3)
+        a = rng.randint(1, box[v] - 1)
+        num.append(variable_power(3, v, a))
+        num += [
+            Monomial(tuple(rng.randint(0, a - 1) if w == v else rng.randint(c // 2, c - 1)
+                           for w, c in enumerate(box)))
+            for _ in range(rng.randint(1, 2))
+        ]
+    return QuotientModule(
+        MonomialIdeal.from_generators(num, 3) if num else MonomialIdeal.unit(3),
+        MonomialIdeal.from_generators(den, 3),
+    )
+
+
+def low_socle_degrees(module):
+    """The degrees below the top that hold a socle monomial: u with no x_v u
+    in the basis one degree up."""
+    series = module.hilbert_series()
+    degrees = set()
+    for i in range(series.start, series.end):
+        above = {m.exponents for m in module.degree_basis(i + 1)}
+        for u in module.degree_basis(i):
+            if all(tuple(e + (v == w) for w, e in enumerate(u.exponents)) not in above
+                   for v in range(module.nvars)):
+                degrees.add(i)
+    return degrees
+
+
+# The socle monomial x^2 stops injectivity from carrying down to the map out
+# of degree 2; the numerator generator x^3 y^3 z of degree 7 stops
+# surjectivity from carrying up to the map out of degree 6.
+SOCLE_STOP = algebra("x^3, x^2*y, x^2*z, y^6, z^6", 3)
+GENERATOR_STOP = QuotientModule(
+    parse_ideal("y^3*z^2, x^3*y^3*z, x^4*z", 3), parse_ideal("x^5, y^4, z^3, x^4*y*z", 3)
+)
+
+
+def test_wlp_propagation_stops_at_socle_and_generator_degrees():
+    assert 2 in low_socle_degrees(SOCLE_STOP)
+    assert max(map(sum, GENERATOR_STOP.numerator.generator_exponents)) == 7
+    for module, failure in ((SOCLE_STOP, MapFailure(i=2, d=1, rank=5, expected=6)),
+                            (GENERATOR_STOP, MapFailure(i=6, d=1, rank=1, expected=2))):
+        assert check_wlp(module).failures == (failure,)
+        assert unpruned_failures([Summand(module)], only_d_one=True) == (failure,)
+
+
+def test_wlp_propagation_matches_oracle_on_seeded_modules():
+    rng = random.Random(22)
+    failing = high_generators = low_socles = 0
+    for _ in range(600):
+        module = wlp_module(rng)
+        form = random_form(rng, 3)
+        unpruned = unpruned_failures([Summand(module, form=form)], only_d_one=True)
+        assert _scan_maps(module, form, True) == unpruned
+        assert check_wlp(module, form).failures == unpruned
+        failing += bool(unpruned)
+        if not module.hilbert_series().is_zero:
+            high_generators += max(map(sum, module.numerator.generator_exponents)) >= 4
+            low_socles += bool(low_socle_degrees(module))
+    assert failing >= 100 and high_generators >= 200 and low_socles >= 200
+
+
+def test_wlp_scan_ranks_only_maps_no_rule_proves(monkeypatch):
+    module = algebra("x^6, y^6, z^6, x^5*y^5, x^5*z^5", 3)
+    ranked = []
+    rank = ExactMatrix.rank
+    kernel = lefschetz_module._rank_mod_p
+    monkeypatch.setattr(ExactMatrix, "rank", lambda matrix: ranked.append(matrix) or rank(matrix))
+    monkeypatch.setattr(lefschetz_module, "_rank_mod_p", lambda lines: ranked.append(lines) or kernel(lines))
+    assert check_wlp(module).holds
+    assert len(ranked) == 1
 
 
 def split_module(rng, nvars):

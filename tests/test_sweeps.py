@@ -130,7 +130,9 @@ def test_csm_sweep_is_clean():
     assert summary["ok"] and summary["cases"] == 27
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(monkeypatch):
+    # two jobs take the pool path even on a one-CPU machine
+    monkeypatch.setattr(sweeps_module.os, "cpu_count", lambda: 2)
     serial = sweep_main_theorem(amax=3, bmax=3, jobs=1)
     parallel = sweep_main_theorem(amax=3, bmax=3, jobs=2)
     assert serial == parallel
