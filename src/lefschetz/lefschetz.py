@@ -29,6 +29,7 @@ from .monomials import (
 from .series import (
     HilbertSeries,
     ReflectingDegree,
+    _rises_then_falls,
     degrees_coincide,
     is_symmetric,
 )
@@ -372,8 +373,19 @@ def _strings(series: HilbertSeries, failures: Sequence[MapFailure]) -> Strings:
     rank r(i, d) = min(h_i, h_(i+d)), a failing map carries its exact rank,
     and r(i, 0) = h_i.  Since r(i, d) counts the strings that cover both i
     and i + d, the strings of length d + 1 that start in degree i number
-    r(i, d) - r(i-1, d+1) - r(i, d+1) + r(i-1, d+2).
+    r(i, d) - r(i-1, d+1) - r(i, d+1) + r(i-1, d+2).  With no failure, h is
+    unimodal (a dip fails, see :func:`_jordan_type_is_lefschetz`) and the
+    strings are its level sets {i : h_i >= k}, read in one pass.  Either
+    way the strings come sorted by start, then length.
     """
+    if not failures:
+        # level k starts where h first reaches k and ends where it last
+        # holds k; in a unimodal h the levels start in the order of k and
+        # end in the reverse order
+        p, h = series.start, series.coeffs
+        starts = [p + i for i, (a, b) in enumerate(zip((0, *h), h)) for _ in range(b - a)]
+        ends = [p + i for i, (a, b) in enumerate(zip(h, (*h[1:], 0))) for _ in range(a - b)]
+        return tuple(sorted((s, e - s + 1) for s, e in zip(starts, reversed(ends))))
     p, n = series.start, len(series.coeffs)
     # r[a][b] = r(p + a - 1, b - a), with a zero degree on either side
     h = (0, *series.coeffs, 0)
@@ -388,13 +400,64 @@ def _strings(series: HilbertSeries, failures: Sequence[MapFailure]) -> Strings:
     )
 
 
+def _jordan_type_is_lefschetz(strings: Strings, only_d_one: bool) -> bool:
+    """Whether every map (times ell^d) of a graded Jordan type has maximal
+    rank: every d >= 1, or d = 1 alone.
+
+    Let h_i count the strings that cover degree i, r(i, d) those that cover
+    both i and i + d, and lambda_k = #{i : h_i >= k}, the conjugate
+    partition of h.  Every map has maximal rank iff h is unimodal and the
+    sorted string lengths are lambda (Iarrobino, Macias Marques and
+    McDaniel, Artinian algebras and Jordan type, J. Commut. Algebra, 2022):
+
+    - sum_i r(i, d) = sum over strings of max(m - d, 0), and each
+      r(i, d) <= min(h_i, h_(i+d));
+    - when h is unimodal, sum_i min(h_i, h_(i+d)) = sum_k max(lambda_k - d, 0);
+    - these tail sums, taken over all d >= 0, determine a multiset;
+    - a dip h_j < min(h_i, h_k) with i < j < k caps the map from degree i
+      to degree k at h_j, so a type with a dip always fails.
+
+    Lengths equal to lambda force h to be unimodal on their own: for any h,
+    sum_i min(h_i, h_(i+1)) counts the adjacent pairs within the level sets
+    {i : h_i >= k}, at most lambda_k - 1 in level k, and such lengths make
+    the d = 1 ranks sum to sum_k (lambda_k - 1), so every level set is an
+    interval.  The unimodality test comes first because it refuses a dip in
+    one pass, before anything is sorted.
+
+    The maps with d = 1 all have maximal rank iff there are
+    sum_i max(h_i - h_(i+1), 0) strings, h being 0 above the top degree:
+    their ranks sum to sum_i h_i less the number of strings, each at most
+    min(h_i, h_(i+1)), and those bounds sum to sum_i h_i less that count.
+    """
+    if not strings:
+        return True
+    p = min(s for s, _ in strings)
+    steps = [0] * (max(s + m for s, m in strings) - p + 1)
+    for s, m in strings:
+        steps[s - p] += 1
+        steps[s + m - p] -= 1
+    # h_p, ..., h_q, then the 0 above the top degree
+    h = list(accumulate(steps))
+    if only_d_one:
+        return len(strings) == sum(a - b for a, b in zip(h, h[1:]) if a > b)
+    if not _rises_then_falls(h):
+        return False
+    counts = [0] * (max(h) + 1)
+    for v in h:
+        counts[v] += 1
+    # lambda_k for k = max(h), ..., 1: the degrees with h_i = k or more
+    return sorted(m for _, m in strings) == list(accumulate(counts[:0:-1]))
+
+
 def _failures_of(strings: Strings, only_d_one: bool = False) -> tuple[MapFailure, ...]:
     """The maps (times ell^d): M_i -> M_(i+d) that miss maximal rank, in (d, i) order.
 
     The map's rank r(i, d) is the number of strings that cover both i and
-    i + d, and h_i = r(i, 0).  Every d is tested, or d = 1 alone.
+    i + d, and h_i = r(i, 0).  Every d is tested, or d = 1 alone.  A type
+    that :func:`_jordan_type_is_lefschetz` passes has no failing map and
+    returns at once; only a failing type builds the table of every r(i, d).
     """
-    if not strings:
+    if _jordan_type_is_lefschetz(strings, only_d_one):
         return ()
     p = min(s for s, _ in strings)
     q = max(s + m for s, m in strings) - 1
@@ -508,9 +571,10 @@ def tensor_truncation_failures(
 
     The truncation is taken with the form (ell, 1).  The strings of ell on
     the module are read once (one scan at most); the truncation's are their
-    graded product with the single string (0, c), and :func:`_failures_of`
-    decides each height from them: every power under the SLP, d = 1 under
-    the WLP.  No truncation is built, and the verdicts are those of
+    graded product with the single string (0, c), and
+    :func:`_jordan_type_is_lefschetz` decides each height from them: every
+    power under the SLP, d = 1 under the WLP.  No truncation and no table
+    of ranks is built, and the verdicts are those of
     ``check_slp`` and ``check_wlp`` on each truncation.  Heights
     are checked as ``tensor_truncation`` checks them, the form as a
     ``Summand`` does, and a truncation box that the scan would refuse is
@@ -533,7 +597,9 @@ def tensor_truncation_failures(
     strings = _module_strings(module, ell)
     only_d_one = property == "WLP"
     return [
-        c for c in heights if _failures_of(_tensor_strings(strings, ((0, c),)), only_d_one)
+        c
+        for c in heights
+        if not _jordan_type_is_lefschetz(_tensor_strings(strings, ((0, c),)), only_d_one)
     ]
 
 

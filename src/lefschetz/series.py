@@ -146,7 +146,11 @@ def degrees_coincide(r1: ReflectingDegree, r2: ReflectingDegree) -> bool:
 
 def is_unimodal(series: HilbertSeries) -> bool:
     """Whether coefficients weakly rise and then weakly fall."""
-    coeffs = series.coeffs
+    return _rises_then_falls(series.coeffs)
+
+
+def _rises_then_falls(coeffs: Sequence[int]) -> bool:
+    """Whether a coefficient sequence weakly rises and then weakly falls."""
     rising = True
     for prev, cur in zip(coeffs, coeffs[1:]):
         if rising:

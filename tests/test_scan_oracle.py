@@ -45,7 +45,7 @@ from lefschetz.lefschetz import (
     _split_strings,
     _strings,
 )
-from lefschetz.series import HilbertSeries, sum_series
+from lefschetz.series import HilbertSeries, is_unimodal, sum_series
 from lefschetz.sweeps import (
     _tensor_module,
     _tensor_params,
@@ -703,3 +703,113 @@ def test_truncation_failures_match_scan_on_lemma_corpora():
                 assert got == scanned_failing_heights(module, heights, form, property)
                 failing[property] += len(got)
     assert all(failing.values())
+
+
+def table_failures(strings, only_d_one):
+    """Every map of a graded Jordan type ranked by counting the strings that
+    cover both i and i + d, failures in (d, i) order."""
+    if not strings:
+        return ()
+    p = min(s for s, _ in strings)
+    q = max(s + m for s, m in strings) - 1
+
+    def r(i, d):
+        return sum(1 for s, m in strings if s <= i and i + d < s + m)
+
+    return tuple(
+        MapFailure(i=i, d=d, rank=r(i, d), expected=min(r(i, 0), r(i + d, 0)))
+        for d in ((1,) if only_d_one else range(1, q - p + 1))
+        for i in range(p, q - d + 1)
+        if r(i, d) < min(r(i, 0), r(i + d, 0))
+    )
+
+
+def level_strings(h, start):
+    """The level sets {i : h_i >= k} of a unimodal h, one string per level."""
+    return [
+        (start + min(i for i, v in enumerate(h) if v >= k), sum(v >= k for v in h))
+        for k in range(1, max(h, default=0) + 1)
+    ]
+
+
+def random_string_set(rng):
+    """Random strings; a third are the level sets of a unimodal h (so they
+    pass), some of those with one string moved or cut, and all shuffled."""
+    if rng.random() < 1 / 3:
+        peak = rng.randint(1, 5)
+        rise = sorted(rng.randint(1, peak) for _ in range(rng.randint(0, 3)))
+        fall = sorted((rng.randint(1, peak) for _ in range(rng.randint(0, 3))), reverse=True)
+        strings = level_strings(rise + [peak] * rng.randint(1, 2) + fall, rng.randint(0, 3))
+        if rng.random() < 0.3:
+            k = rng.randrange(len(strings))
+            s, m = strings[k]
+            strings[k] = (s + rng.randint(0, 1), max(1, m - rng.randint(0, 2)))
+    else:
+        strings = [(rng.randint(0, 5), rng.randint(1, 6)) for _ in range(rng.randint(0, 7))]
+        if strings and rng.random() < 0.3:
+            strings.append(rng.choice(strings))
+    rng.shuffle(strings)
+    return tuple(strings)
+
+
+def test_jordan_type_test_matches_the_table_on_random_string_sets():
+    rng = random.Random(23)
+    seen = dict.fromkeys(
+        ["empty", "single", "repeated", "dip", "slp", "wlp_not_slp", "unsorted_slp"], 0
+    )
+    cases = [(), ((2, 3),), ((0, 1),), ((0, 2), (0, 2)), ((0, 1), (2, 1)), ((0, 5), (1, 1), (3, 1))]
+    cases += [random_string_set(rng) for _ in range(3000)]
+    for strings in cases:
+        table = {w: table_failures(strings, w) for w in (False, True)}
+        for only_d_one, failures in table.items():
+            assert lefschetz_module._jordan_type_is_lefschetz(strings, only_d_one) == (not failures)
+            assert _failures_of(strings, only_d_one) == failures
+        h = strings_series(strings).coeffs
+        lengths = [m for _, m in strings]
+        seen["empty"] += not strings
+        seen["single"] += len(strings) == 1
+        seen["repeated"] += len(set(strings)) < len(strings)
+        seen["dip"] += bool(strings) and not is_unimodal(strings_series(strings))
+        seen["slp"] += not table[False] and bool(h)
+        seen["wlp_not_slp"] += bool(table[False]) and not table[True]
+        seen["unsorted_slp"] += not table[False] and lengths != sorted(lengths)
+    assert min(seen.values()) >= 1 and seen["slp"] >= 500 and seen["dip"] >= 300, seen
+
+
+def test_a_dip_is_refused_by_the_one_unimodality_rule(monkeypatch):
+    # lengths equal to the conjugate force unimodality on their own, so the
+    # rule is an early exit; it must be series' reader, called on h
+    calls = []
+    rule = lefschetz_module._rises_then_falls
+    monkeypatch.setattr(lefschetz_module, "_rises_then_falls", lambda h: calls.append(list(h)) or rule(h))
+    assert not lefschetz_module._jordan_type_is_lefschetz(((0, 5), (1, 1), (3, 1)), False)
+    assert calls == [[1, 2, 1, 2, 1, 0]]
+    monkeypatch.setattr(lefschetz_module, "_rises_then_falls", lambda h: False)
+    assert not lefschetz_module._jordan_type_is_lefschetz(((0, 3), (1, 1)), False)
+
+
+def inclusion_exclusion_strings(series):
+    """The strings of a module whose maps all have maximal rank, read from
+    r(i, d) = min(h_i, h_(i+d)) by inclusion-exclusion."""
+    p, h = series.start, (0, *series.coeffs, 0)
+    n = len(series.coeffs)
+    r = [[min(a, b) for b in h] for a in h]
+    return tuple(
+        (p + a - 1, b - a + 1)
+        for a in range(1, n + 1)
+        for b in range(a, n + 1)
+        for _ in range(r[a][b] - r[a - 1][b] - r[a][b + 1] + r[a - 1][b + 1])
+    )
+
+
+def test_passing_strings_are_the_level_sets_on_lemma_corpora():
+    modules = [_tensor_module(*params) for params in _tensor_params(4)]
+    modules += [*two_variable_corpus(4), *algebra_corpus(4)]
+    modules += [module.tensor_truncation(c) for module in algebra_corpus(3) for c in (2, 3)]
+    passing = 0
+    for module in modules:
+        if check_slp(module).holds:
+            series = module.hilbert_series()
+            assert _strings(series, ()) == inclusion_exclusion_strings(series)
+            passing += 1
+    assert passing >= 200
