@@ -29,7 +29,6 @@ from .monomials import (
 from .series import (
     HilbertSeries,
     ReflectingDegree,
-    _rises_then_falls,
     degrees_coincide,
     is_symmetric,
 )
@@ -373,19 +372,8 @@ def _strings(series: HilbertSeries, failures: Sequence[MapFailure]) -> Strings:
     rank r(i, d) = min(h_i, h_(i+d)), a failing map carries its exact rank,
     and r(i, 0) = h_i.  Since r(i, d) counts the strings that cover both i
     and i + d, the strings of length d + 1 that start in degree i number
-    r(i, d) - r(i-1, d+1) - r(i, d+1) + r(i-1, d+2).  With no failure, h is
-    unimodal (a dip fails, see :func:`_jordan_type_is_lefschetz`) and the
-    strings are its level sets {i : h_i >= k}, read in one pass.  Either
-    way the strings come sorted by start, then length.
+    r(i, d) - r(i-1, d+1) - r(i, d+1) + r(i-1, d+2).
     """
-    if not failures:
-        # level k starts where h first reaches k and ends where it last
-        # holds k; in a unimodal h the levels start in the order of k and
-        # end in the reverse order
-        p, h = series.start, series.coeffs
-        starts = [p + i for i, (a, b) in enumerate(zip((0, *h), h)) for _ in range(b - a)]
-        ends = [p + i for i, (a, b) in enumerate(zip(h, (*h[1:], 0))) for _ in range(a - b)]
-        return tuple(sorted((s, e - s + 1) for s, e in zip(starts, reversed(ends))))
     p, n = series.start, len(series.coeffs)
     # r[a][b] = r(p + a - 1, b - a), with a zero degree on either side
     h = (0, *series.coeffs, 0)
@@ -417,12 +405,11 @@ def _jordan_type_is_lefschetz(strings: Strings, only_d_one: bool) -> bool:
     - a dip h_j < min(h_i, h_k) with i < j < k caps the map from degree i
       to degree k at h_j, so a type with a dip always fails.
 
-    Lengths equal to lambda force h to be unimodal on their own: for any h,
-    sum_i min(h_i, h_(i+1)) counts the adjacent pairs within the level sets
-    {i : h_i >= k}, at most lambda_k - 1 in level k, and such lengths make
-    the d = 1 ranks sum to sum_k (lambda_k - 1), so every level set is an
-    interval.  The unimodality test comes first because it refuses a dip in
-    one pass, before anything is sorted.
+    Lengths equal to lambda force h to be unimodal on their own, so the
+    comparison of lengths alone decides: for any h, sum_i min(h_i, h_(i+1))
+    counts the adjacent pairs within the level sets {i : h_i >= k}, at most
+    lambda_k - 1 in level k, and such lengths make the d = 1 ranks sum to
+    sum_k (lambda_k - 1), so every level set is an interval.
 
     The maps with d = 1 all have maximal rank iff there are
     sum_i max(h_i - h_(i+1), 0) strings, h being 0 above the top degree:
@@ -440,8 +427,6 @@ def _jordan_type_is_lefschetz(strings: Strings, only_d_one: bool) -> bool:
     h = list(accumulate(steps))
     if only_d_one:
         return len(strings) == sum(a - b for a, b in zip(h, h[1:]) if a > b)
-    if not _rises_then_falls(h):
-        return False
     counts = [0] * (max(h) + 1)
     for v in h:
         counts[v] += 1

@@ -146,11 +146,7 @@ def degrees_coincide(r1: ReflectingDegree, r2: ReflectingDegree) -> bool:
 
 def is_unimodal(series: HilbertSeries) -> bool:
     """Whether coefficients weakly rise and then weakly fall."""
-    return _rises_then_falls(series.coeffs)
-
-
-def _rises_then_falls(coeffs: Sequence[int]) -> bool:
-    """Whether a coefficient sequence weakly rises and then weakly falls."""
+    coeffs = series.coeffs
     rising = True
     for prev, cur in zip(coeffs, coeffs[1:]):
         if rising:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .lefschetz import (
     LinearForm,
-    _failures_of,
+    _jordan_type_is_lefschetz,
     _module_strings,
     _tensor_strings,
     check_slp,
@@ -359,9 +359,9 @@ def _algebra_tensor_case(module: QuotientModule) -> Optional[dict]:
     # One graded Jordan type decides both: the SLP of M and the WLP of every
     # truncation.
     strings = _module_strings(module, LinearForm.all_ones(module.nvars))
-    predicted = not _failures_of(strings)
-    actual = not any(
-        _failures_of(_tensor_strings(strings, ((0, c),)), only_d_one=True)
+    predicted = _jordan_type_is_lefschetz(strings, False)
+    actual = all(
+        _jordan_type_is_lefschetz(_tensor_strings(strings, ((0, c),)), True)
         for c in range(1, module.socle_degree() + 3)
     )
     if predicted == actual:

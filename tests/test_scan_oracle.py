@@ -774,42 +774,3 @@ def test_jordan_type_test_matches_the_table_on_random_string_sets():
         seen["wlp_not_slp"] += bool(table[False]) and not table[True]
         seen["unsorted_slp"] += not table[False] and lengths != sorted(lengths)
     assert min(seen.values()) >= 1 and seen["slp"] >= 500 and seen["dip"] >= 300, seen
-
-
-def test_a_dip_is_refused_by_the_one_unimodality_rule(monkeypatch):
-    # lengths equal to the conjugate force unimodality on their own, so the
-    # rule is an early exit; it must be series' reader, called on h
-    calls = []
-    rule = lefschetz_module._rises_then_falls
-    monkeypatch.setattr(lefschetz_module, "_rises_then_falls", lambda h: calls.append(list(h)) or rule(h))
-    assert not lefschetz_module._jordan_type_is_lefschetz(((0, 5), (1, 1), (3, 1)), False)
-    assert calls == [[1, 2, 1, 2, 1, 0]]
-    monkeypatch.setattr(lefschetz_module, "_rises_then_falls", lambda h: False)
-    assert not lefschetz_module._jordan_type_is_lefschetz(((0, 3), (1, 1)), False)
-
-
-def inclusion_exclusion_strings(series):
-    """The strings of a module whose maps all have maximal rank, read from
-    r(i, d) = min(h_i, h_(i+d)) by inclusion-exclusion."""
-    p, h = series.start, (0, *series.coeffs, 0)
-    n = len(series.coeffs)
-    r = [[min(a, b) for b in h] for a in h]
-    return tuple(
-        (p + a - 1, b - a + 1)
-        for a in range(1, n + 1)
-        for b in range(a, n + 1)
-        for _ in range(r[a][b] - r[a - 1][b] - r[a][b + 1] + r[a - 1][b + 1])
-    )
-
-
-def test_passing_strings_are_the_level_sets_on_lemma_corpora():
-    modules = [_tensor_module(*params) for params in _tensor_params(4)]
-    modules += [*two_variable_corpus(4), *algebra_corpus(4)]
-    modules += [module.tensor_truncation(c) for module in algebra_corpus(3) for c in (2, 3)]
-    passing = 0
-    for module in modules:
-        if check_slp(module).holds:
-            series = module.hilbert_series()
-            assert _strings(series, ()) == inclusion_exclusion_strings(series)
-            passing += 1
-    assert passing >= 200
