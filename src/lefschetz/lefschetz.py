@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -434,6 +434,39 @@ def _jordan_type_is_lefschetz(strings: Strings, only_d_one: bool) -> bool:
     return sorted(m for _, m in strings) == list(accumulate(counts[:0:-1]))
 
 
+def _last_lefschetz_height(strings: Strings) -> float:
+    """The height c* up to which the strings times (0, c) pass the SLP: they
+    pass at every c <= c* and fail at every c > c*, and c* is 0 when no
+    height passes and infinity when all do.
+
+    Strings pass iff they nest: any two of their intervals of degrees are
+    comparable.  Let S_i be the strings that cover degree i; then
+    r(i, d) = |S_i & S_(i+d)| <= min(|S_i|, |S_(i+d)|), with equality iff
+    one set holds the other.  In a chain the strings that cover a degree
+    are an up-set, so any two S_i are comparable, while strings [a, b] and
+    [a', b'] with a < a' and b < b' lie in S_a and S_b' alone.
+
+    By the Clebsch-Gordan rule (s, m) (x) (0, c) is the strings
+    (s + k, m + c - 1 - 2k) for k < min(m, c), with the one doubled centre
+    2s + m + c - 2, so they nest.  Two strings whose doubled centres differ
+    by g nest iff their lengths differ by g or more.  The blocks of (s, m)
+    and (t, n), m >= n, have g = |2s + m - 2t - n| at every c and lengths
+    that differ by m - n - 2e, e from 1 - min(n, c) to min(m, c) - 1: a run
+    of step 2 down from a term >= 0.  With g = 0 all of them nest, and with
+    g = 1 too, as m - n is then odd.  With g >= 2 the run cannot step over
+    (-g, g), so its last term m - n + 2 - 2 min(m, c) must reach g: false
+    at c >= m, and c <= (m - n + 2 - g) / 2 otherwise, an integer since
+    g = m - n mod 2.  At c = 1 this is the nesting of the pair itself, so
+    a pair that does not nest bounds c* by 0.
+    """
+    last = math.inf
+    for (s, m), (t, n) in combinations(set(strings), 2):
+        gap = abs(2 * s + m - 2 * t - n)
+        if gap >= 2:
+            last = min(last, (abs(m - n) + 2 - gap) // 2)
+    return max(last, 0)
+
+
 def _failures_of(strings: Strings, only_d_one: bool = False) -> tuple[MapFailure, ...]:
     """The maps (times ell^d): M_i -> M_(i+d) that miss maximal rank, in (d, i) order.
 
@@ -473,11 +506,13 @@ def _split_strings(module: QuotientModule, ell: LinearForm) -> Optional[Strings]
     apart is the tensor product of one module per class, and ell acts on it
     as the sum of its restrictions, so its strings are the graded
     Clebsch-Gordan product of the factors' and the product box is never
-    walked.  A one-variable factor k[x_v]/(x_v^c) is the single string
-    (0, c); any other factor is read by :func:`_module_strings`.  None when
-    the module is zero, has one class, or ell vanishes on some class.  The
-    classes are built once per module, so the second attempt that
-    :func:`check_slp` makes for :func:`_module_strings` costs a few lookups.
+    walked.  A class of one variable that no numerator generator involves
+    is the algebra factor k[x_v]/(x_v^c), the single string (0, c), and
+    builds no ideal; any other factor is read by :func:`_module_strings`.
+    None when the module is zero, has one class, or ell vanishes on some
+    class.  The classes are built once per module, so the second attempt
+    that :func:`check_slp` makes for :func:`_module_strings` costs a few
+    lookups.
     """
     caps = module.denominator.pure_power_caps
     # Only the unit ideal has a cap of 0, and it makes the module zero.
@@ -490,15 +525,16 @@ def _split_strings(module: QuotientModule, ell: LinearForm) -> Optional[Strings]
     forms = [tuple(ell.coefficients[v] for v in c) for c in components]
     if not all(any(f) for f in forms):
         return None
+    used = [any(e) for e in zip(*module.numerator.generator_exponents)]
     strings: Strings = ((0, 1),)
     for variables, coefficients in zip(components, forms):
-        numerator = _restricted(module.numerator, variables)
-        if numerator.is_zero:
-            # The numerator lives in another class, so this factor is an algebra.
-            numerator = MonomialIdeal.unit(len(variables))
-        if len(variables) == 1 and numerator.is_unit:
+        if len(variables) == 1 and not used[variables[0]]:
             factor: Strings = ((0, caps[variables[0]]),)
         else:
+            numerator = _restricted(module.numerator, variables)
+            if numerator.is_zero:
+                # The numerator lives in another class, so this factor is an algebra.
+                numerator = MonomialIdeal.unit(len(variables))
             factor = _module_strings(
                 QuotientModule(numerator, _restricted(module.denominator, variables)),
                 LinearForm(coefficients),
@@ -554,15 +590,17 @@ def tensor_truncation_failures(
 ) -> list[int]:
     """The heights c at which ``module.tensor_truncation(c)`` fails the property.
 
-    The truncation is taken with the form (ell, 1).  The strings of ell on
-    the module are read once (one scan at most); the truncation's are their
-    graded product with the single string (0, c), and
-    :func:`_jordan_type_is_lefschetz` decides each height from them: every
-    power under the SLP, d = 1 under the WLP.  No truncation and no table
-    of ranks is built, and the verdicts are those of
-    ``check_slp`` and ``check_wlp`` on each truncation.  Heights
-    are checked as ``tensor_truncation`` checks them, the form as a
-    ``Summand`` does, and a truncation box that the scan would refuse is
+    The truncation is taken with the form (ell, 1), so its strings are the
+    graded product of the strings of ell on the module, read once (one
+    scan at most), with the single string (0, c).  Under the SLP the
+    truncation fails exactly at the heights above the one threshold
+    :func:`_last_lefschetz_height` reads from pairs of those strings, and
+    no height is tested on its own.  Under the WLP
+    :func:`_jordan_type_is_lefschetz` decides each height's product for
+    d = 1.  No truncation and no table of ranks is built, and the verdicts
+    are those of ``check_slp`` and ``check_wlp`` on each truncation.
+    Heights are checked as ``tensor_truncation`` checks them, the form as
+    a ``Summand`` does, and a truncation box that the scan would refuse is
     refused.
     """
     if property not in ("WLP", "SLP"):
@@ -580,11 +618,13 @@ def tensor_truncation_failures(
             f"{cells} cells, over the limit of {MAX_BOX_CELLS}"
         )
     strings = _module_strings(module, ell)
-    only_d_one = property == "WLP"
+    if property == "SLP":
+        last = _last_lefschetz_height(strings)
+        return [c for c in heights if c > last]
     return [
         c
         for c in heights
-        if not _jordan_type_is_lefschetz(_tensor_strings(strings, ((0, c),)), only_d_one)
+        if not _jordan_type_is_lefschetz(_tensor_strings(strings, ((0, c),)), True)
     ]
 
 

@@ -280,6 +280,29 @@ def test_split_complete_intersection_builds_no_matrix(monkeypatch):
     assert "_index" not in vars(module)
 
 
+def test_split_restricts_only_classes_the_numerator_involves(monkeypatch):
+    restricted = []
+    restrict = lefschetz_module._restricted
+
+    def spy(ideal, variables):
+        restricted.append(variables)
+        return restrict(ideal, variables)
+
+    monkeypatch.setattr(lefschetz_module, "_restricted", spy)
+    form = LinearForm.all_ones(3)
+    algebra = algebra_quotient(parse_ideal("x^3, y^2, z^4"))
+    assert sorted(lefschetz_module._split_strings(algebra, form)) == sorted(lefschetz_module._strings(
+        algebra.hilbert_series(), lefschetz_module._scan_maps(algebra, form, False)
+    ))
+    assert restricted == []
+    # the numerator lives in the class of x, whose factor is a module
+    module = QuotientModule(parse_ideal("x^2", 3), parse_ideal("x^5, y^3, z^3"))
+    assert sorted(lefschetz_module._split_strings(module, form)) == sorted(lefschetz_module._strings(
+        module.hilbert_series(), lefschetz_module._scan_maps(module, form, False)
+    ))
+    assert restricted == [(0,), (0,)]
+
+
 def test_failing_split_module_is_decided_from_its_factors():
     base = algebra_quotient(parse_ideal("x^4, y^4, z^4, x^2*y^2*z^2"))
     for c in (3, 4, 6):

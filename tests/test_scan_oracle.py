@@ -7,6 +7,8 @@ tuples, as the package did before it packed exponents into integers.  Both
 live only here.
 """
 
+import itertools
+import math
 import random
 from unittest import mock
 
@@ -752,6 +754,20 @@ def random_string_set(rng):
     return tuple(strings)
 
 
+def strings_nest(strings):
+    """Whether any two strings' intervals of degrees are comparable."""
+    return all(
+        s <= t and t + n <= s + m or t <= s and s + m <= t + n
+        for k, (s, m) in enumerate(strings)
+        for t, n in strings[k + 1:]
+    )
+
+
+def centre_gaps(strings):
+    """The differences |2s + m - 2t - n| of doubled centres over pairs of strings."""
+    return {abs(2 * s + m - 2 * t - n) for (s, m), (t, n) in itertools.combinations(strings, 2)}
+
+
 def test_jordan_type_test_matches_the_table_on_random_string_sets():
     rng = random.Random(23)
     seen = dict.fromkeys(
@@ -764,6 +780,8 @@ def test_jordan_type_test_matches_the_table_on_random_string_sets():
         for only_d_one, failures in table.items():
             assert lefschetz_module._jordan_type_is_lefschetz(strings, only_d_one) == (not failures)
             assert _failures_of(strings, only_d_one) == failures
+        # every map has maximal rank iff the strings nest
+        assert (not table[False]) == strings_nest(strings), strings
         h = strings_series(strings).coeffs
         lengths = [m for _, m in strings]
         seen["empty"] += not strings
@@ -774,3 +792,39 @@ def test_jordan_type_test_matches_the_table_on_random_string_sets():
         seen["wlp_not_slp"] += bool(table[False]) and not table[True]
         seen["unsorted_slp"] += not table[False] and lengths != sorted(lengths)
     assert min(seen.values()) >= 1 and seen["slp"] >= 500 and seen["dip"] >= 300, seen
+
+
+def test_last_lefschetz_height_matches_every_truncation_product():
+    """c* is the last height whose product with (0, c) passes, on every
+    height up to 3 max m + 2, and the heights that pass are 1, ..., c*."""
+    rng = random.Random(31)
+    cases = [(), ((2, 3),), ((0, 2), (1, 2)), ((0, 5), (1, 3), (2, 1)), ((0, 2), (0, 1))]
+    cases += [((0, 6), (0, 3)), ((0, 6), (1, 2)), ((0, 7), (1, 2)), ((0, 9), (0, 2), (2, 3))]
+    cases += [random_string_set(rng) for _ in range(3000)]
+    seen = dict.fromkeys(
+        ["none", "one", "not_nested", "same_centre", "gap_1", "gap_2", "gap_3", "finite"], 0
+    )
+    pairs = 0
+    for strings in cases:
+        last = lefschetz_module._last_lefschetz_height(strings)
+        heights = range(1, 3 * max((m for _, m in strings), default=0) + 3)
+        passes = [
+            lefschetz_module._jordan_type_is_lefschetz(
+                lefschetz_module._tensor_strings(strings, ((0, c),)), False
+            )
+            for c in heights
+        ]
+        assert passes == [c <= last for c in heights], strings
+        assert last == (math.inf if all(passes) else passes.count(True)), strings
+        # a height, and the bound (|m - n| + 2 - g) / 2 needs no rounding
+        assert last == math.inf or type(last) is int, strings
+        pairs += len(passes)
+        gaps = centre_gaps(strings)
+        seen["none"] += not strings
+        seen["one"] += len(strings) == 1
+        seen["not_nested"] += not strings_nest(strings)
+        seen["same_centre"] += len(set(strings)) > 1 and gaps == {0}
+        for g in (1, 2, 3):
+            seen[f"gap_{g}"] += strings_nest(strings) and g in gaps
+        seen["finite"] += 0 < last < math.inf
+    assert min(seen.values()) >= 1 and seen["finite"] >= 100 and pairs > 40000, (seen, pairs)
