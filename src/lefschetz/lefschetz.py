@@ -392,46 +392,21 @@ def _jordan_type_is_lefschetz(strings: Strings, only_d_one: bool) -> bool:
     """Whether every map (times ell^d) of a graded Jordan type has maximal
     rank: every d >= 1, or d = 1 alone.
 
-    Let h_i count the strings that cover degree i, r(i, d) those that cover
-    both i and i + d, and lambda_k = #{i : h_i >= k}, the conjugate
-    partition of h.  Every map has maximal rank iff h is unimodal and the
-    sorted string lengths are lambda (Iarrobino, Macias Marques and
-    McDaniel, Artinian algebras and Jordan type, J. Commut. Algebra, 2022):
-
-    - sum_i r(i, d) = sum over strings of max(m - d, 0), and each
-      r(i, d) <= min(h_i, h_(i+d));
-    - when h is unimodal, sum_i min(h_i, h_(i+d)) = sum_k max(lambda_k - d, 0);
-    - these tail sums, taken over all d >= 0, determine a multiset;
-    - a dip h_j < min(h_i, h_k) with i < j < k caps the map from degree i
-      to degree k at h_j, so a type with a dip always fails.
-
-    Lengths equal to lambda force h to be unimodal on their own, so the
-    comparison of lengths alone decides: for any h, sum_i min(h_i, h_(i+1))
-    counts the adjacent pairs within the level sets {i : h_i >= k}, at most
-    lambda_k - 1 in level k, and such lengths make the d = 1 ranks sum to
-    sum_k (lambda_k - 1), so every level set is an interval.
-
-    The maps with d = 1 all have maximal rank iff there are
-    sum_i max(h_i - h_(i+1), 0) strings, h being 0 above the top degree:
-    their ranks sum to sum_i h_i less the number of strings, each at most
-    min(h_i, h_(i+1)), and those bounds sum to sum_i h_i less that count.
+    Let S_i be the strings that cover degree i.  The map from degree i to
+    i + d has rank |S_i & S_(i+d)| <= min(|S_i|, |S_(i+d)|), with equality
+    iff one set holds the other, so it misses maximal rank iff some string
+    covers i but not i + d and another covers i + d but not i.  At d = 1
+    that is a string that ends in degree i and another that starts in
+    degree i + 1.  Over all d it is two strings [a, b] and [a', b'] with
+    a < a' and b < b' (take i = a and i + d = b'), so every map has maximal
+    rank iff the strings nest: any two of their intervals of degrees are
+    comparable.  Sorted by start, the longest first, nested strings have
+    ends that never rise, and such ends make each string hold the next.
     """
-    if not strings:
-        return True
-    p = min(s for s, _ in strings)
-    steps = [0] * (max(s + m for s, m in strings) - p + 1)
-    for s, m in strings:
-        steps[s - p] += 1
-        steps[s + m - p] -= 1
-    # h_p, ..., h_q, then the 0 above the top degree
-    h = list(accumulate(steps))
     if only_d_one:
-        return len(strings) == sum(a - b for a, b in zip(h, h[1:]) if a > b)
-    counts = [0] * (max(h) + 1)
-    for v in h:
-        counts[v] += 1
-    # lambda_k for k = max(h), ..., 1: the degrees with h_i = k or more
-    return sorted(m for _, m in strings) == list(accumulate(counts[:0:-1]))
+        return not {s for s, _ in strings} & {s + m for s, m in strings}
+    ends = [s + m for s, m in sorted(strings, key=lambda string: (string[0], -string[1]))]
+    return all(a >= b for a, b in zip(ends, ends[1:]))
 
 
 def _last_lefschetz_height(strings: Strings) -> float:
@@ -439,13 +414,7 @@ def _last_lefschetz_height(strings: Strings) -> float:
     pass at every c <= c* and fail at every c > c*, and c* is 0 when no
     height passes and infinity when all do.
 
-    Strings pass iff they nest: any two of their intervals of degrees are
-    comparable.  Let S_i be the strings that cover degree i; then
-    r(i, d) = |S_i & S_(i+d)| <= min(|S_i|, |S_(i+d)|), with equality iff
-    one set holds the other.  In a chain the strings that cover a degree
-    are an up-set, so any two S_i are comparable, while strings [a, b] and
-    [a', b'] with a < a' and b < b' lie in S_a and S_b' alone.
-
+    Strings pass iff they nest (see :func:`_jordan_type_is_lefschetz`).
     By the Clebsch-Gordan rule (s, m) (x) (0, c) is the strings
     (s + k, m + c - 1 - 2k) for k < min(m, c), with the one doubled centre
     2s + m + c - 2, so they nest.  Two strings whose doubled centres differ

@@ -60,17 +60,30 @@ def staircase_ideal(a: int, b: int, heights: tuple[int, ...]) -> MonomialIdeal:
     return MonomialIdeal(frozenset(gens), 2)
 
 
+# The largest default corpus, the LGV oracle's, has 3,984 cases.
+_MAX_CASES = 100_000
+
+
+def _corpus(items: Iterable) -> list:
+    """A sweep's cases, refused when there are none or more than _MAX_CASES;
+    at most _MAX_CASES + 1 are built, so a huge parameter space is never
+    enumerated."""
+    cases = list(itertools.islice(items, _MAX_CASES + 1))
+    if not cases:
+        raise ValueError("empty corpus: the sweep parameters select no cases")
+    if len(cases) > _MAX_CASES:
+        raise ValueError(f"the sweep parameters select more than {_MAX_CASES} cases")
+    return cases
+
+
 def _run(
     worker: Callable,
-    items: Iterable,
+    items: list,
     jobs: int,
 ) -> list:
-    items = list(items)
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise ValueError(f"jobs must be between 1 and {cpus}, got {jobs}")
-    if not items:
-        raise ValueError("empty corpus: the sweep parameters select no cases")
     if jobs == 1:
         return [worker(item) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -148,7 +161,7 @@ def _main_theorem_labels(item: tuple[int, int, tuple[int, ...]]) -> dict:
 
 
 def sweep_main_theorem(amax: int = 6, bmax: int = 6, jobs: int = 1) -> dict:
-    items = list(_main_theorem_items(amax, bmax))
+    items = _corpus(_main_theorem_items(amax, bmax))
     violations = _run_mirrored(
         _main_theorem_case, items, _staircase_transpose, _main_theorem_labels, jobs
     )
@@ -195,7 +208,7 @@ def _pipeline_case(args: tuple[int, int, tuple[int, ...]]) -> list[dict]:
 
 
 def sweep_pipeline(amax: int = 6, bmax: int = 6, jobs: int = 1) -> dict:
-    items = list(_main_theorem_items(amax, bmax))
+    items = _corpus(_main_theorem_items(amax, bmax))
     results = _run(_pipeline_case, items, jobs)
     return _summary(len(items), [v for sub in results for v in sub])
 
@@ -238,7 +251,7 @@ def _params_labels(params: tuple[int, ...]) -> dict:
 
 
 def sweep_type_two(limit: int = 5, jobs: int = 1) -> dict:
-    items = list(_type_two_params(limit))
+    items = _corpus(_type_two_params(limit))
     violations = _run_mirrored(
         _type_two_case, items, _type_two_mirror, _params_labels, jobs
     )
@@ -281,7 +294,7 @@ def _tensor_mirror(params: tuple[int, int, int, int]) -> tuple[int, int, int, in
 
 
 def sweep_tensor(limit: int = 5, jobs: int = 1) -> dict:
-    items = list(_tensor_params(limit))
+    items = _corpus(_tensor_params(limit))
     violations = _run_mirrored(_tensor_case, items, _tensor_mirror, _params_labels, jobs)
     return _summary(len(items), violations)
 
@@ -308,7 +321,7 @@ def _lgv_case(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> Optional[dict]:
 
 
 def sweep_lgv_oracle(max_value: int = 7, max_len: int = 3, jobs: int = 1) -> dict:
-    items = list(_lgv_sequences(max_value, max_len))
+    items = _corpus(_lgv_sequences(max_value, max_len))
     results = _run(_lgv_case, items, jobs)
     return _summary(len(items), [r for r in results if r])
 
@@ -336,7 +349,7 @@ def _almost_centered_case(module: QuotientModule) -> Optional[dict]:
 
 
 def sweep_almost_centered_lemma(limit: int = 4, jobs: int = 1) -> dict:
-    items = list(two_variable_corpus(limit))
+    items = _corpus(two_variable_corpus(limit))
     results = _run(_almost_centered_case, items, jobs)
     return _summary(len(items), [r for r in results if r])
 
@@ -370,7 +383,7 @@ def _algebra_tensor_case(module: QuotientModule) -> Optional[dict]:
 
 
 def sweep_algebra_tensor_lemma(limit: int = 4, jobs: int = 1) -> dict:
-    items = list(algebra_corpus(limit))
+    items = _corpus(algebra_corpus(limit))
     results = _run(_algebra_tensor_case, items, jobs)
     return _summary(len(items), [r for r in results if r])
 
@@ -389,6 +402,6 @@ def _csm_case(params: tuple[int, int, int, int, int, int]) -> Optional[dict]:
 
 
 def sweep_csm_criterion(limit: int = 4, jobs: int = 1) -> dict:
-    items = list(_type_two_params(limit))
+    items = _corpus(_type_two_params(limit))
     results = _run(_csm_case, items, jobs)
     return _summary(len(items), [r for r in results if r])

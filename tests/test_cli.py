@@ -391,6 +391,20 @@ def test_empty_sweep_exits_two(capsys, argv):
     assert "empty corpus" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tensor", "--limit", "1000"),
+        ("main-thm", "--max-a", "20", "--max-b", "20"),
+    ],
+)
+def test_oversized_sweep_exits_two(capsys, argv):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == ""
+    assert "more than 100000 cases" in err
+
+
 def test_main_theorem_sweep_refuses_limit(capsys):
     code, out, err = run(capsys, "sweep", "main-thm", "--limit", "3", "--format", "json")
     assert code == 2

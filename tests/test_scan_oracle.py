@@ -774,6 +774,9 @@ def test_jordan_type_test_matches_the_table_on_random_string_sets():
         ["empty", "single", "repeated", "dip", "slp", "wlp_not_slp", "unsorted_slp"], 0
     )
     cases = [(), ((2, 3),), ((0, 1),), ((0, 2), (0, 2)), ((0, 1), (2, 1)), ((0, 5), (1, 1), (3, 1))]
+    # equal starts and equal ends nest; (2, 2) starts where (0, 2) ends, so
+    # the WLP fails; (3, 1) leaves a gap, so only the SLP fails
+    cases += [((0, 1), (0, 3)), ((0, 2), (1, 1)), ((0, 2), (2, 2)), ((0, 2), (3, 1))]
     cases += [random_string_set(rng) for _ in range(3000)]
     for strings in cases:
         table = {w: table_failures(strings, w) for w in (False, True)}

@@ -2,6 +2,7 @@ import dataclasses
 from collections import Counter
 import math
 from math import comb
+import time
 
 import pytest
 
@@ -155,6 +156,20 @@ def test_empty_corpus_and_bad_job_count_are_rejected():
         sweep_tensor(limit=0)
     with pytest.raises(ValueError, match="jobs"):
         sweep_main_theorem(amax=2, bmax=2, jobs=0)
+
+
+def test_oversized_corpus_is_refused_before_it_is_enumerated():
+    limit = sweeps_module._MAX_CASES
+    assert len(sweeps_module._corpus(range(limit))) == limit
+    with pytest.raises(ValueError, match=f"more than {limit} cases"):
+        sweeps_module._corpus(range(limit + 1))
+    # about 2.5 * 10^11 tensor cases, so a full list would never finish
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {limit} cases"):
+        sweep_tensor(limit=1000)
+    assert time.perf_counter() - started < 1
+    # the largest default corpus, the LGV oracle's, is far inside the limit
+    assert len(sweeps_module._corpus(sweeps_module._lgv_sequences(7, 3))) == 3984
 
 
 def test_jobs_over_the_cpu_count_are_refused_before_any_pool(monkeypatch):
