@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, permutations
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -436,6 +436,29 @@ def _last_lefschetz_height(strings: Strings) -> float:
     return max(last, 0)
 
 
+def _wlp_failing_spans(strings: Strings) -> set[tuple[int, int]]:
+    """The spans [lo, hi] of heights c at which the strings times (0, c)
+    fail the WLP: the truncation fails at c iff some span holds c.
+
+    By the Clebsch-Gordan rule (s, m) (x) (0, c) is the strings (s + k,
+    m + c - 1 - 2k) for k < min(m, c), and the WLP fails iff one string
+    ends in the degree before another starts (see
+    :func:`_jordan_type_is_lefschetz`): s + m + c - 1 - k = t + j for some
+    k < min(m, c) and j < min(n, c), that is 0 <= A + c - 2 <= min(m, c) +
+    min(n, c) - 2 with A = s + m + 1 - t.  The right inequality reads
+    c >= A for c <= min(m, n), A <= min(m, n) for c between m and n, and
+    c <= m + n - A for c >= max(m, n), so with the left one it holds iff
+    A <= min(m, n) and max(A, 2 - A, 1) <= c <= m + n - A.  A string never
+    meets itself, or a copy of itself, as then A = m + 1 > m.
+    """
+    spans = set()
+    for (s, m), (t, n) in permutations(set(strings), 2):
+        a = s + m + 1 - t
+        if a <= min(m, n):
+            spans.add((max(a, 2 - a, 1), m + n - a))
+    return spans
+
+
 def _failures_of(strings: Strings, only_d_one: bool = False) -> tuple[MapFailure, ...]:
     """The maps (times ell^d): M_i -> M_(i+d) that miss maximal rank, in (d, i) order.
 
@@ -564,13 +587,13 @@ def tensor_truncation_failures(
     scan at most), with the single string (0, c).  Under the SLP the
     truncation fails exactly at the heights above the one threshold
     :func:`_last_lefschetz_height` reads from pairs of those strings, and
-    no height is tested on its own.  Under the WLP
-    :func:`_jordan_type_is_lefschetz` decides each height's product for
-    d = 1.  No truncation and no table of ranks is built, and the verdicts
-    are those of ``check_slp`` and ``check_wlp`` on each truncation.
-    Heights are checked as ``tensor_truncation`` checks them, the form as
-    a ``Summand`` does, and a truncation box that the scan would refuse is
-    refused.
+    no height is tested on its own.  Under the WLP it fails exactly at the
+    heights in the spans :func:`_wlp_failing_spans` reads from ordered
+    pairs of them.  No truncation, no product and no table of ranks is
+    built, and the verdicts are those of ``check_slp`` and ``check_wlp``
+    on each truncation.  Heights are checked as ``tensor_truncation``
+    checks them, the form as a ``Summand`` does, and a truncation box that
+    the scan would refuse is refused.
     """
     if property not in ("WLP", "SLP"):
         raise ValueError("property must be 'WLP' or 'SLP'")
@@ -590,11 +613,8 @@ def tensor_truncation_failures(
     if property == "SLP":
         last = _last_lefschetz_height(strings)
         return [c for c in heights if c > last]
-    return [
-        c
-        for c in heights
-        if not _jordan_type_is_lefschetz(_tensor_strings(strings, ((0, c),)), True)
-    ]
+    spans = _wlp_failing_spans(strings)
+    return [c for c in heights if any(lo <= c <= hi for lo, hi in spans)]
 
 
 def direct_sum_slp(

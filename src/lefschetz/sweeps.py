@@ -15,10 +15,6 @@ from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, Optional
 
 from .lefschetz import (
-    LinearForm,
-    _jordan_type_is_lefschetz,
-    _module_strings,
-    _tensor_strings,
     check_slp,
     csm_slp_criterion,
     tensor_slp_condition,
@@ -269,11 +265,14 @@ def _tensor_params(limit: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _tensor_module(alpha: int, beta: int, a: int, b: int) -> QuotientModule:
-    """The module (x^alpha, y^beta)/(x^a, y^b)."""
-    numerator = MonomialIdeal.from_generators(
-        [Monomial((alpha, 0)), Monomial((0, beta))]
+    """The module (x^alpha, y^beta)/(x^a, y^b), a, b >= 1; both generating
+    sets are already minimal, so neither ideal is minimalised."""
+    numerator = (
+        MonomialIdeal(frozenset({Monomial((alpha, 0)), Monomial((0, beta))}), 2)
+        if alpha and beta
+        else MonomialIdeal.unit(2)
     )
-    box = MonomialIdeal.from_generators([Monomial((a, 0)), Monomial((0, b))])
+    box = MonomialIdeal(frozenset({Monomial((a, 0)), Monomial((0, b))}), 2)
     return QuotientModule(numerator, box)
 
 
@@ -327,16 +326,22 @@ def sweep_lgv_oracle(max_value: int = 7, max_len: int = 3, jobs: int = 1) -> dic
 
 
 # --- bounded surrogates for the "for all c" tensor lemmas ---
+# The lemma sweeps enumerate parameter tuples and build each module in the
+# worker, so an oversized corpus is refused before any module is built.
+
+def _two_variable_params(limit: int) -> Iterator[tuple[int, int, int, int]]:
+    """The tensor parameters of nonzero modules: (x^alpha, y^beta) lies in
+    (x^a, y^b) iff alpha >= a and beta >= b."""
+    return (p for p in _tensor_params(limit) if p[0] < p[2] or p[1] < p[3])
+
 
 def two_variable_corpus(limit: int = 4) -> Iterator[QuotientModule]:
     """Nonzero modules (x^alpha, y^beta)/(x^a, y^b) with parameters <= limit."""
-    for params in _tensor_params(limit):
-        module = _tensor_module(*params)
-        if not module.hilbert_series().is_zero:
-            yield module
+    return itertools.starmap(_tensor_module, _two_variable_params(limit))
 
 
-def _almost_centered_case(module: QuotientModule) -> Optional[dict]:
+def _almost_centered_case(params: tuple[int, int, int, int]) -> Optional[dict]:
+    module = _tensor_module(*params)
     failing = tensor_truncation_failures(module, range(1, module.socle_degree() + 3))
     # M (x) k[t]/(t) is M, so height 1 is the module's own SLP.
     if 1 in failing:
@@ -349,41 +354,42 @@ def _almost_centered_case(module: QuotientModule) -> Optional[dict]:
 
 
 def sweep_almost_centered_lemma(limit: int = 4, jobs: int = 1) -> dict:
-    items = _corpus(two_variable_corpus(limit))
+    items = _corpus(_two_variable_params(limit))
     results = _run(_almost_centered_case, items, jobs)
     return _summary(len(items), [r for r in results if r])
 
 
+def _algebra_params(limit: int) -> Iterator[tuple]:
+    """(a,) for k[x]/(x^a), then (a, b, heights) for the staircases of the
+    a x b boxes; a staircase algebra is zero iff its first column is empty."""
+    yield from ((a,) for a in range(1, limit + 1))
+    for a, b in itertools.product(range(1, limit + 1), repeat=2):
+        yield from ((a, b, h) for h in _staircase_heights(a, b) if h[0])
+
+
+def _algebra_module(params: tuple) -> QuotientModule:
+    if len(params) == 1:
+        return algebra_quotient(MonomialIdeal(frozenset({Monomial(params)}), 1))
+    return algebra_quotient(staircase_ideal(*params))
+
+
 def algebra_corpus(limit: int = 4) -> Iterator[QuotientModule]:
     """Nonzero algebras S/I in one or two variables, staircases bounded by limit."""
-    for a in range(1, limit + 1):
-        yield algebra_quotient(
-            MonomialIdeal.from_generators([Monomial((a,))], nvars=1)
-        )
-    for a in range(1, limit + 1):
-        for b in range(1, limit + 1):
-            for ideal in staircase_ideals(a, b):
-                module = algebra_quotient(ideal)
-                if not module.hilbert_series().is_zero:
-                    yield module
+    return map(_algebra_module, _algebra_params(limit))
 
 
-def _algebra_tensor_case(module: QuotientModule) -> Optional[dict]:
-    # One graded Jordan type decides both: the SLP of M and the WLP of every
-    # truncation.
-    strings = _module_strings(module, LinearForm.all_ones(module.nvars))
-    predicted = _jordan_type_is_lefschetz(strings, False)
-    actual = all(
-        _jordan_type_is_lefschetz(_tensor_strings(strings, ((0, c),)), True)
-        for c in range(1, module.socle_degree() + 3)
-    )
+def _algebra_tensor_case(params: tuple) -> Optional[dict]:
+    module = _algebra_module(params)
+    predicted = check_slp(module).holds
+    heights = range(1, module.socle_degree() + 3)
+    actual = not tensor_truncation_failures(module, heights, property="WLP")
     if predicted == actual:
         return None
     return {"module": str(module), "slp": predicted, "tensor_wlp": actual}
 
 
 def sweep_algebra_tensor_lemma(limit: int = 4, jobs: int = 1) -> dict:
-    items = _corpus(algebra_corpus(limit))
+    items = _corpus(_algebra_params(limit))
     results = _run(_algebra_tensor_case, items, jobs)
     return _summary(len(items), [r for r in results if r])
 

@@ -396,6 +396,8 @@ def test_empty_sweep_exits_two(capsys, argv):
     [
         ("tensor", "--limit", "1000"),
         ("main-thm", "--max-a", "20", "--max-b", "20"),
+        ("almost-centered", "--limit", "60"),
+        ("algebra-tensor", "--limit", "60"),
     ],
 )
 def test_oversized_sweep_exits_two(capsys, argv):

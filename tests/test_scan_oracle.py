@@ -831,3 +831,66 @@ def test_last_lefschetz_height_matches_every_truncation_product():
             seen[f"gap_{g}"] += strings_nest(strings) and g in gaps
         seen["finite"] += 0 < last < math.inf
     assert min(seen.values()) >= 1 and seen["finite"] >= 100 and pairs > 40000, (seen, pairs)
+
+
+def truncation_strings(strings, c):
+    """The graded Clebsch-Gordan product of the strings with the single string (0, c)."""
+    return [(s + k, m + c - 1 - 2 * k) for s, m in strings for k in range(min(m, c))]
+
+
+def test_wlp_failing_spans_match_every_truncation_product():
+    """A height c fails the WLP of the strings times (0, c) iff a span of
+    ``_wlp_failing_spans`` holds it, on every height up to 3 max m + 2; the
+    reference builds each height's product and tests it at d = 1."""
+    rng = random.Random(37)
+    # a gap (the span starts at 2 - A), a string that starts inside another
+    # and ends after it (at A), one that starts right after another ends,
+    # repeated strings, one string and none
+    cases = [(), ((2, 3),), ((0, 2), (0, 2)), ((0, 2), (4, 3)), ((0, 3), (1, 3)), ((0, 2), (2, 2))]
+    cases += [random_string_set(rng) for _ in range(3000)]
+    seen = dict.fromkeys(["none", "one", "repeated", "gap", "overlap", "failing"], 0)
+    pairs = 0
+    for strings in cases:
+        spans = lefschetz_module._wlp_failing_spans(strings)
+        heights = range(1, 3 * max((m for _, m in strings), default=0) + 3)
+        failing = [
+            c
+            for c in heights
+            if not lefschetz_module._jordan_type_is_lefschetz(truncation_strings(strings, c), True)
+        ]
+        assert failing == [c for c in heights if any(lo <= c <= hi for lo, hi in spans)], strings
+        pairs += len(heights)
+        meets = [
+            s + m + 1 - t
+            for (s, m), (t, n) in itertools.permutations(set(strings), 2)
+            if s + m + 1 - t <= min(m, n)
+        ]
+        seen["none"] += not strings
+        seen["one"] += len(strings) == 1
+        seen["repeated"] += len(set(strings)) < len(strings)
+        seen["gap"] += any(a <= 0 for a in meets)
+        seen["overlap"] += any(a >= 2 for a in meets)
+        seen["failing"] += bool(failing)
+    assert min(seen.values()) >= 1 and seen["failing"] >= 500 and pairs > 40000, (seen, pairs)
+
+
+def test_wlp_failing_spans_start_by_the_socle_and_exist_iff_the_strings_do_not_nest():
+    """The WLP of the strings times (0, c) for every c.
+
+    A span starts at max(A, 2 - A, 1) with A <= m <= socle + 1 and
+    2 - A = t + 1 - s - m <= t <= socle, so a type that fails at some
+    height fails at one of 1, ..., socle + 1, and the lemma sweeps' heights
+    1, ..., socle + 2 decide every c.  A pair meets (A <= min(m, n)) iff
+    it does not nest, and its span is never empty, so some height fails
+    iff the strings do not nest: the SLP of M.
+    """
+    rng = random.Random(41)
+    nested = 0
+    for _ in range(20000):
+        strings = random_string_set(rng)
+        spans = lefschetz_module._wlp_failing_spans(strings)
+        socle = max((s + m - 1 for s, m in strings), default=-1)
+        assert all(lo <= min(hi, socle + 1) for lo, hi in spans), strings
+        assert (not spans) == strings_nest(strings), strings
+        nested += not spans
+    assert 5000 < nested < 15000, nested

@@ -147,6 +147,34 @@ def test_corpora_are_nonzero_modules():
     assert modules and all(not m.hilbert_series().is_zero for m in modules)
     algebras = list(algebra_corpus(limit=2))
     assert algebras and all(not m.hilbert_series().is_zero for m in algebras)
+    # the parameter filters drop exactly the zero modules, in order
+    limit = 4
+    tensors = [_tensor_module(*p) for p in _tensor_params(limit)]
+    assert list(two_variable_corpus(limit)) == [
+        m for m in tensors if not m.hilbert_series().is_zero
+    ]
+    algebras = [
+        algebra_quotient(MonomialIdeal.from_generators([Monomial((a,))], nvars=1))
+        for a in range(1, limit + 1)
+    ]
+    algebras += [
+        algebra_quotient(ideal)
+        for a in range(1, limit + 1)
+        for b in range(1, limit + 1)
+        for ideal in staircase_ideals(a, b)
+    ]
+    assert list(algebra_corpus(limit)) == [
+        m for m in algebras if not m.hilbert_series().is_zero
+    ]
+
+
+def test_tensor_module_equals_the_minimalised_construction():
+    for alpha, beta, a, b in _tensor_params(5):
+        numerator = MonomialIdeal.from_generators([Monomial((alpha, 0)), Monomial((0, beta))])
+        box = MonomialIdeal.from_generators([Monomial((a, 0)), Monomial((0, b))])
+        module = _tensor_module(alpha, beta, a, b)
+        assert module == QuotientModule(numerator, box)
+        assert module.numerator.generator_exponents == numerator.generator_exponents
 
 
 def test_empty_corpus_and_bad_job_count_are_rejected():
@@ -168,6 +196,17 @@ def test_oversized_corpus_is_refused_before_it_is_enumerated():
     with pytest.raises(ValueError, match=f"more than {limit} cases"):
         sweep_tensor(limit=1000)
     assert time.perf_counter() - started < 1
+    # the lemma corpora are parameter tuples, so no module is built before
+    # the refusal
+    for sweep in (sweep_almost_centered_lemma, sweep_algebra_tensor_lemma):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"more than {limit} cases"):
+            sweep(limit=60)
+        assert time.perf_counter() - started < 1
+    # and each counts its corpus's modules
+    for small in range(1, 5):
+        assert sweep_almost_centered_lemma(limit=small)["cases"] == len(list(two_variable_corpus(small)))
+        assert sweep_algebra_tensor_lemma(limit=small)["cases"] == len(list(algebra_corpus(small)))
     # the largest default corpus, the LGV oracle's, is far inside the limit
     assert len(sweeps_module._corpus(sweeps_module._lgv_sequences(7, 3))) == 3984
 
