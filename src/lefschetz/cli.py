@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
 import sys
 import time
 from dataclasses import asdict
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__, sweeps
 from .lefschetz import (
     LinearForm,
     Summand,
+    _random_forms,
     check_slp,
     check_wlp,
     csm_decompose,
@@ -89,16 +91,14 @@ def _module_from_args(args) -> QuotientModule:
     return QuotientModule(numerator, denominator)
 
 
-def _forms_from_args(args, nvars: int) -> list[LinearForm]:
+def _forms_from_args(args, nvars: int) -> Iterator[LinearForm]:
+    """The base form, then the ``--random-forms`` witnesses, drawn as asked for."""
     base = (
         LinearForm(_parse_int_list(args.linear_form))
         if args.linear_form
         else LinearForm.all_ones(nvars)
     )
-    forms = [base]
-    if args.random_forms:
-        forms.extend(LinearForm.random_forms(nvars, args.random_forms, args.seed))
-    return forms
+    return itertools.chain((base,), _random_forms(nvars, args.random_forms, args.seed))
 
 
 def _run_hilbert(args) -> tuple[dict, int]:

@@ -14,7 +14,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import CERTIFICATE_PRIME, ExactMatrix, _rank_mod_p, multinomial
 from .lgv import _window_rank
@@ -59,13 +59,7 @@ class LinearForm:
     @classmethod
     def random_forms(cls, nvars: int, count: int, seed: int) -> list["LinearForm"]:
         """Seeded random witnesses with coefficients in [1, 100]."""
-        if count < 0:
-            raise ValueError(f"random form count must be nonnegative, got {count}")
-        rng = random.Random(seed)
-        return [
-            cls(tuple(rng.randint(1, 100) for _ in range(nvars)))
-            for _ in range(count)
-        ]
+        return list(_random_forms(nvars, count, seed))
 
     def power_expansion(self, d: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Monomial expansion of the d-th power: (exponent vector, coefficient)."""
@@ -86,6 +80,16 @@ class LinearForm:
             if c:
                 parts.append(var if c == 1 else f"{c}*{var}")
         return " + ".join(parts)
+
+
+def _random_forms(nvars: int, count: int, seed: int) -> Iterator[LinearForm]:
+    """The ``count`` seeded random witnesses of :meth:`LinearForm.random_forms`,
+    drawn one at a time; a negative count is refused at once."""
+    if count < 0:
+        raise ValueError(f"random form count must be nonnegative, got {count}")
+    # seeding takes microseconds, which a check without witnesses skips
+    rng = random.Random(seed) if count else None
+    return (LinearForm(tuple(rng.randint(1, 100) for _ in range(nvars))) for _ in range(count))
 
 
 @dataclass(frozen=True)
@@ -241,9 +245,9 @@ def _scan_maps(
     its bases' y-exponents (see :func:`lgv._window_rank`).  Any other map
     is ranked mod p from its source monomials' images (see
     :func:`_images`).  A rank mod p is never above the rational rank, so an
-    F_p rank of ``expected`` proves maximal rank; any other map is built
-    over the integers by :func:`mult_matrix` and ranked again by exact
-    elimination, so every failure rank is exact.
+    F_p rank of ``expected`` proves maximal rank; any other map takes its
+    images again from the same codes under the integer power and is ranked
+    by exact elimination, so every failure rank is exact.
     """
     series = module.hilbert_series()
     if series.is_zero:
@@ -293,7 +297,8 @@ def _scan_maps(
                 table = _packed_power(ell, d, shift, CERTIFICATE_PRIME)
                 rank = _rank_mod_p(_images(source, target, table))
                 if rank != expected:
-                    rank = mult_matrix(module, ell, d, i).rank()
+                    table = _packed_power(ell, d, shift, None)
+                    rank = ExactMatrix.from_rows(_images(source, target, table)).rank()
             if rank != expected:
                 failures.append(MapFailure(i=i, d=d, rank=rank, expected=expected))
                 continue

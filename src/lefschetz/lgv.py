@@ -181,45 +181,43 @@ def _check_map(a: int, b: int, i: int, d: int) -> None:
 
 
 @lru_cache(maxsize=MATRIX_CACHE_SIZE)
-def _box_monomials(a: int, b: int, i: int) -> tuple[Monomial, ...]:
-    """The degree-i monomials outside (x^a, y^b), x-heavy first."""
-    return tuple(Monomial((i - j, j)) for j in range(i + 1) if i - j < a and j < b)
-
-
-@lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def cl_matrix(a: int, b: int, i: int, d: int) -> LabeledMatrix:
     """Transposed matrix of (times (x+y)^d): [S/J]_i -> [S/J]_{i+d}, J = (x^a, y^b).
 
-    Rows are labeled by the degree-i monomials outside J (x-heavy first);
-    columns by the degree-(i+d) monomials that survive trimming
-    m1 = max(i+d-a+1, 0) columns on the left and m2 = max(i+d-b+1, 0) on
-    the right.  Entry (row x^(i-j) y^j, column x^(i+d-m) y^m) is
-    binomial(d, m-j).  The matrix depends on the box alone, so it is
-    computed once per (a, b, i, d) and shared by every ideal in the box.
+    Rows are labeled by the degree-i monomials outside J, x-heavy first
+    (see :func:`staircase_rows`); columns by the degree-(i+d) monomials
+    that survive trimming m1 = max(i+d-a+1, 0) columns on the left and
+    m2 = max(i+d-b+1, 0) on the right.  Entry (row x^(i-j) y^j, column
+    x^(i+d-m) y^m) is binomial(d, m-j).  The matrix depends on the box
+    alone, so it is computed once per (a, b, i, d) and shared by every
+    ideal in the box.
     """
     _check_map(a, b, i, d)
     m1 = max(i + d - a + 1, 0)
     m2 = max(i + d - b + 1, 0)
-    row_labels = _box_monomials(a, b, i)
-    col_ms = list(range(m1, i + d - m2 + 1))
-    rows = [[binomial(d, m - label.exponents[1]) for m in col_ms] for label in row_labels]
+    row_ys = range(max(i - a + 1, 0), min(i, b - 1) + 1)
+    col_ms = range(m1, i + d - m2 + 1)
     return LabeledMatrix(
-        matrix=ExactMatrix.from_rows(rows),
-        row_labels=row_labels,
+        matrix=ExactMatrix.from_rows([[binomial(d, m - j) for m in col_ms] for j in row_ys]),
+        row_labels=tuple(Monomial((i - j, j)) for j in row_ys),
         col_labels=tuple(Monomial((i + d - m, m)) for m in col_ms),
     )
 
 
-def kept_rows(a: int, b: int, i: int, ideal: MonomialIdeal) -> tuple[int, ...]:
-    """Indices of the degree-i monomials outside (x^a, y^b) that lie in
-    the ideal, in the row order of every ``cl_matrix(a, b, i, d)``.
+def staircase_rows(a: int, b: int, heights: Sequence[int]) -> list[tuple[int, ...]]:
+    """Per degree e <= a+b-2, the rows of every ``cl_matrix(a, b, e, d)`` that
+    lie in the ideal whose complement has the column heights ``heights``
+    (one per column 0..a-1, non-increasing, at most b).
 
-    The row labels do not depend on d, so neither do these indices; their
-    count is the dimension of M_i for M = (I + (x^a, y^b))/(x^a, y^b).
+    Row n is x^(e-j) y^j with j = max(e-a+1, 0) + n, kept iff
+    j >= heights[e-j].  The rows do not depend on d, and the count of
+    degree e is the dimension of M_e for M = (I + (x^a, y^b))/(x^a, y^b).
     """
-    if ideal.nvars != 2:
-        raise ValueError("mixed ambient rings")
-    return tuple(n for n, m in enumerate(_box_monomials(a, b, i)) if ideal.contains(m))
+    return [
+        tuple(n for n, j in enumerate(range(max(e - a + 1, 0), min(e, b - 1) + 1))
+              if j >= heights[e - j])
+        for e in range(a + b - 1)
+    ]
 
 
 def pascal_column_transform(matrix: ExactMatrix) -> ExactMatrix:
@@ -275,12 +273,18 @@ def run_pipeline(
     """Full certificate chain for (times (x+y)^d): M_i -> M_{i+d},
     M = (I + (x^a, y^b))/(x^a, y^b).
 
-    The ideal enters only through the indices of the rows it keeps, which
-    depend on (a, b, i) and not on d.  The map is validated before that
-    membership pass; the rest is :func:`certify_rows`.
+    The ideal enters only through its staircase in the box: x^k y^j lies in
+    (I + (x^a, y^b)) iff j is at least the height of column k, the least
+    y-exponent of a minimal generator with x-exponent at most k, capped at
+    b.  The map is validated before the heights are read; the rows they
+    keep (see :func:`staircase_rows`) go to :func:`certify_rows`.
     """
     _check_map(a, b, i, d)
-    return certify_rows(a, b, i, d, kept_rows(a, b, i, ideal))
+    if ideal.nvars != 2:
+        raise ValueError("mixed ambient rings")
+    gens = ideal.generator_exponents
+    heights = [min([b] + [y for x, y in gens if x <= k]) for k in range(a)]
+    return certify_rows(a, b, i, d, staircase_rows(a, b, heights)[i])
 
 
 @lru_cache(maxsize=PIPELINE_CACHE_SIZE)

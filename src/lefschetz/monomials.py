@@ -45,11 +45,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def divides(self, other: "Monomial") -> bool:
-        if self.nvars != other.nvars:
-            raise ValueError("mixed ambient rings")
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
     def extended(self, nvars: int) -> "Monomial":
         """The same monomial viewed in a larger ambient ring."""
         if nvars < self.nvars:
@@ -366,11 +361,6 @@ class QuotientModule:
         if d < 0:
             raise ValueError("degree must be nonnegative")
         return list(self._index.get(d, ()))
-
-    def dimension_in_degree(self, d: int) -> int:
-        if d < 0:
-            raise ValueError("degree must be nonnegative")
-        return len(self._index.get(d, ()))
 
     def top_degree_bound(self) -> int:
         """Largest degree that can carry a nonzero graded piece."""

@@ -23,15 +23,9 @@ from .lefschetz import (
     type_two_slp_conditions,
     TensorCondition,
 )
-from .lgv import binomial_matrix, certify_rows, count_nonintersecting
+from .lgv import binomial_matrix, certify_rows, count_nonintersecting, staircase_rows
 from .monomials import Monomial, MonomialIdeal, QuotientModule, algebra_quotient
 from .series import is_almost_centered
-
-
-def staircase_ideals(a: int, b: int) -> Iterator[MonomialIdeal]:
-    """All monomial ideals containing (x^a, y^b), as staircases in the a x b box."""
-    for heights in _staircase_heights(a, b):
-        yield staircase_ideal(a, b, heights)
 
 
 def _staircase_heights(a: int, b: int) -> Iterator[tuple[int, ...]]:
@@ -166,22 +160,11 @@ def sweep_main_theorem(amax: int = 6, bmax: int = 6, jobs: int = 1) -> dict:
 
 # --- pipeline: the LGV certificate chain on the same corpus ---
 
-def _staircase_kept_rows(a: int, b: int, heights: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Per degree e <= a+b-2, the rows of ``lgv.cl_matrix(a, b, e, d)`` in the
-    staircase ideal: row n is x^(e-j) y^j with j = max(e-a+1, 0) + n, kept
-    iff j >= heights[e-j]."""
-    return [
-        tuple(n for n, j in enumerate(range(max(e - a + 1, 0), min(e, b - 1) + 1))
-              if j >= heights[e - j])
-        for e in range(a + b - 1)
-    ]
-
-
 def _pipeline_case(args: tuple[int, int, tuple[int, ...]]) -> list[dict]:
     a, b, heights = args
     # len(kept[e]) = dim M_e.  Every map runs the chain's checks; a map
     # from or to zero is not judged.
-    kept = _staircase_kept_rows(a, b, heights)
+    kept = staircase_rows(a, b, heights)
     violations = []
     for i in range(1, a + b - 2):
         for d in range(1, a + b - 2 - i + 1):

@@ -266,6 +266,26 @@ def test_check_falls_back_to_random_forms(capsys):
     assert result["linear_form"] == [[50, 98]]
 
 
+def test_random_forms_are_drawn_only_when_asked_for(capsys):
+    # a passing module never draws a witness, so a huge count costs nothing
+    started = time.perf_counter()
+    code, out, _ = run(
+        capsys, "check", "slp", "--num", "1", "--den", "x^3, y^3, z^3",
+        "--random-forms", "1000000", "--format", "json",
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert json.loads(out)["result"]["linear_form"] == [[1, 1, 1]]
+    # a module that fails for every form reports the last witness of the list API
+    argv = ("check", "slp", "--num", "1", "--den", "x^5, y^5, z^5, x^2*y^2*z^2",
+            "--random-forms", "3", "--seed", "7", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["holds"] is False
+    assert result["linear_form"] == [list(LinearForm.random_forms(3, 3, seed=7)[-1].coefficients)]
+
+
 @pytest.mark.parametrize("form", ["-1,0", "-1, -2", "-3,2"])
 def test_negative_linear_form_is_a_value(capsys, form):
     argv = ("check", "wlp", "--num", "1", "--den", "x^2, y^2", "--format", "json")

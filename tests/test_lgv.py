@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -24,7 +25,8 @@ from lefschetz import lgv
 from lefschetz.exact import ExactMatrix
 from lefschetz.lgv import ENUMERATION_CAP, _VERTEX_RADIX, _path_masks
 from lefschetz.monomials import algebra_quotient
-from lefschetz.sweeps import _lgv_sequences, staircase_ideal, staircase_ideals, sweep_pipeline
+from lefschetz.sweeps import _lgv_sequences, staircase_ideal, sweep_pipeline
+from test_sweeps import staircases
 
 
 def clear_lgv_caches():
@@ -268,7 +270,7 @@ def test_run_pipeline_agrees_with_elimination():
     # another staircase that keeps the same rows.
     clear_lgv_caches()
     for a, b in reversed(list(itertools.product(range(1, 5), repeat=2))):
-        for ideal in staircase_ideals(a, b):
+        for ideal in staircases(a, b):
             for i in range(1, a + b - 2):
                 for d in range(1, a + b - 2 - i + 1):
                     result = run_pipeline(a, b, ideal, i, d)
@@ -311,7 +313,7 @@ def test_sweep_ranks_each_distinct_pipeline_input_once(monkeypatch):
     keys = set()
     for a in range(2, 5):
         for b in range(2, 5):
-            for ideal in staircase_ideals(a, b):
+            for ideal in staircases(a, b):
                 for i in range(1, a + b - 2):
                     labels = [Monomial((i - j, j)) for j in range(i + 1) if i - j < a and j < b]
                     kept = tuple(n for n, m in enumerate(labels) if ideal.contains(m))
@@ -337,15 +339,65 @@ def test_run_pipeline_rejects_bad_maps_before_membership(monkeypatch):
     ideal = staircase_ideal(3, 3, (2, 1, 0))
     tested = []
     contains = MonomialIdeal.contains
+    rows = lgv.staircase_rows
 
     def spy(self, m):
         tested.append(m)
         return contains(self, m)
 
+    def rows_spy(*args):
+        tested.append(args)
+        return rows(*args)
+
     monkeypatch.setattr(MonomialIdeal, "contains", spy)
+    monkeypatch.setattr(lgv, "staircase_rows", rows_spy)
     for a, b, i, d in [(3, 3, 2, 3), (3, 3, 0, 1), (3, 3, 1, 0), (0, 3, 1, 1)]:
         # asked twice, since no cache keeps an exception
         for _ in range(2):
             with pytest.raises(ValueError):
                 run_pipeline(a, b, ideal, i, d)
     assert tested == []
+    with pytest.raises(ValueError, match="mixed ambient rings"):
+        run_pipeline(3, 3, MonomialIdeal.unit(3), 1, 1)
+    assert tested == []
+
+
+def membership_pipeline(a, b, ideal, i, d):
+    """Reference: the rows of cl_matrix whose label lies in the ideal, by
+    membership, through the same certificate chain."""
+    labels = cl_matrix(a, b, i, d).row_labels
+    if ideal.nvars != 2:
+        raise ValueError("mixed ambient rings")
+    return lgv.certify_rows(
+        a, b, i, d, tuple(n for n, m in enumerate(labels) if ideal.contains(m))
+    )
+
+
+def outcome(run, *args):
+    try:
+        return run(*args)
+    except ValueError as error:
+        return ("ValueError", str(error))
+
+
+def test_run_pipeline_matches_membership_on_random_ideals():
+    # Seeded two-variable ideals with generators inside and outside the box,
+    # the zero and unit ideals, a three-variable ideal, and maps both valid
+    # and invalid: the heights rule gives the same result or the same error.
+    rng = random.Random(20261021)
+    ideals = [MonomialIdeal.zero(2), MonomialIdeal.unit(2), MonomialIdeal.unit(3),
+              MonomialIdeal.from_generators([Monomial((1, 1, 1))], nvars=3)]
+    for _ in range(400):
+        gens = [Monomial((rng.randint(0, 8), rng.randint(0, 8)))
+                for _ in range(rng.randint(1, 5))]
+        ideals.append(MonomialIdeal.from_generators(gens, nvars=2))
+    checked = 0
+    for ideal in ideals:
+        a, b = rng.randint(0, 6), rng.randint(0, 6)
+        for i in range(-1, a + b):
+            for d in range(0, a + b - i):
+                expected = outcome(membership_pipeline, a, b, ideal, i, d)
+                got = outcome(run_pipeline, a, b, ideal, i, d)
+                assert got == expected, (a, b, str(ideal), i, d)
+                checked += not isinstance(got, tuple)
+    assert checked > 1000

@@ -20,6 +20,7 @@ from lefschetz import (
 from lefschetz.monomials import (
     MAX_BOX_CELLS,
     algebra_quotient,
+    divisible_by_any,
     exponents_of_degree,
     sort_descending,
 )
@@ -30,8 +31,8 @@ def test_monomial_basics():
     assert m.degree == 3
     assert str(m) == "x^2*y"
     assert str(Monomial((0, 0))) == "1"
-    assert m.divides(Monomial((3, 1, 2)))
-    assert not m.divides(Monomial((1, 5, 5)))
+    assert divisible_by_any((3, 1, 2), [m.exponents])
+    assert not divisible_by_any((1, 5, 5), [m.exponents])
 
 
 def test_variable_power():
@@ -222,8 +223,8 @@ def test_quotient_dimensions_additive(alpha, beta, a, b):
     ambient = algebra_quotient(box)
     for d in range(a + b):
         assert (
-            module.dimension_in_degree(d) + residue.dimension_in_degree(d)
-            == ambient.dimension_in_degree(d)
+            module.hilbert_series().coefficient(d) + residue.hilbert_series().coefficient(d)
+            == ambient.hilbert_series().coefficient(d)
         )
 
 
@@ -242,10 +243,14 @@ def reference_basis(module, d):
 
 def reference_from_generators(gens, nvars):
     """Minimalisation on Monomial objects, largest first, as the package once did it."""
+
+    def divides(g, m):
+        return all(a <= b for a, b in zip(g.exponents, m.exponents))
+
     minimal = []
     for m in sort_descending(set(gens)):
-        if not any(g.divides(m) for g in minimal):
-            minimal = [g for g in minimal if not m.divides(g)]
+        if not any(divides(g, m) for g in minimal):
+            minimal = [g for g in minimal if not divides(m, g)]
             minimal.append(m)
     return MonomialIdeal(frozenset(minimal), nvars)
 
@@ -295,7 +300,7 @@ def test_box_index_cells_are_validated_monomials(module):
         basis.reverse()
         basis.append(Monomial((0,) * module.nvars))
         assert module.degree_basis(d) == reference_basis(module, d)
-        assert module.dimension_in_degree(d) == len(basis) - 1
+        assert module.hilbert_series().coefficient(d) == len(basis) - 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -431,7 +436,7 @@ def test_box_index_edge_cases(num, den, nvars, expected):
         basis = module.degree_basis(d)
         assert basis == [Monomial(e) for e in expected.get(d, [])]
         assert basis == reference_basis(module, d)
-        assert module.dimension_in_degree(d) == len(basis)
+        assert module.hilbert_series().coefficient(d) == len(basis)
 
 
 def test_zero_numerator_has_no_basis():
@@ -439,4 +444,4 @@ def test_zero_numerator_has_no_basis():
     assert all(module.degree_basis(d) == [] for d in range(5))
     assert module.hilbert_series().is_zero
     with pytest.raises(ValueError, match="nonnegative"):
-        module.dimension_in_degree(-1)
+        module.degree_basis(-1)

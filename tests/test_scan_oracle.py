@@ -487,6 +487,38 @@ def test_pruned_scan_skips_implied_maps(monkeypatch):
     assert 0 < pruned < len(ranked) // 4
 
 
+def test_failing_scan_ranks_exactly_from_its_own_images(monkeypatch):
+    # Connected three-variable modules whose failing maps fall short mod p.
+    # The scan ranks each one again over the integers from the codes it
+    # already holds: mult_matrix is never called, and every failure rank
+    # equals Bareiss on mult_matrix.  The second form's coefficients exceed
+    # the certificate prime, so a table reduced mod p would change the ranks.
+    cases = [
+        (algebra(f"x^{n}, y^{n}, z^{n}, x^{n // 2}*y^{n // 2}*z^{n // 2}", 3), form)
+        for n in (5, 8)
+        for form in (LinearForm.all_ones(3), LinearForm((7, 91, 53)))
+    ]
+    direct = mult_matrix
+    ranked = []
+    rank = ExactMatrix.rank
+
+    def counting_rank(matrix):
+        ranked.append(matrix)
+        return rank(matrix)
+
+    def refuse(*args):
+        raise AssertionError("the scan rebuilt a map through mult_matrix")
+
+    monkeypatch.setattr(lefschetz_module, "mult_matrix", refuse)
+    monkeypatch.setattr(ExactMatrix, "rank", counting_rank)
+    for module, form in cases:
+        ranked.clear()
+        failures = _scan_maps(module, form, False)
+        assert failures and len(ranked) == len(failures)
+        for f in failures:
+            assert f.rank == rank(direct(module, form, f.d, f.i)) < f.expected
+
+
 def wlp_module(rng):
     """A three-variable module where the WLP scan's rules often stop.
 

@@ -146,7 +146,7 @@ def test_two_power_quotient_dim_matches_module(data):
     module = module_2powers(alpha, beta, a, b)
     for i in range(a + b + 1):
         assert two_power_quotient_dim(alpha, beta, a, b, i) == (
-            module.dimension_in_degree(i)
+            module.hilbert_series().coefficient(i)
         )
 
 

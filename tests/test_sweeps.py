@@ -21,13 +21,12 @@ from lefschetz import (
     type_two_ideal,
     type_two_slp_conditions,
 )
-from lefschetz.lgv import kept_rows
+from lefschetz.lgv import staircase_rows
 from lefschetz.sweeps import (
     _main_theorem_case,
     _main_theorem_items,
     _pipeline_case,
     _staircase_heights,
-    _staircase_kept_rows,
     _staircase_transpose,
     _summary,
     _tensor_case,
@@ -39,7 +38,6 @@ from lefschetz.sweeps import (
     _type_two_params,
     algebra_corpus,
     staircase_ideal,
-    staircase_ideals,
     sweep_algebra_tensor_lemma,
     sweep_almost_centered_lemma,
     sweep_csm_criterion,
@@ -51,14 +49,19 @@ from lefschetz.sweeps import (
 )
 
 
+def staircases(a, b):
+    """Every monomial ideal containing (x^a, y^b), one per staircase."""
+    return [staircase_ideal(a, b, heights) for heights in _staircase_heights(a, b)]
+
+
 def test_staircase_count_is_binomial():
     for a in range(1, 6):
         for b in range(1, 6):
-            assert sum(1 for _ in staircase_ideals(a, b)) == comb(a + b, a)
+            assert len(staircases(a, b)) == comb(a + b, a)
 
 
 def test_staircases_are_distinct_and_contain_box():
-    seen = set(staircase_ideals(3, 4))
+    seen = set(staircases(3, 4))
     assert len(seen) == comb(7, 3)
     box = [Monomial((3, 0)), Monomial((0, 4))]
     for ideal in seen:
@@ -86,13 +89,18 @@ def test_staircase_ideal_equals_minimalised_heights():
 
 
 def test_kept_rows_from_heights_match_membership():
-    # every staircase of criterion 04's boxes, and every degree up to the top
+    # every staircase of criterion 04's boxes, and every degree up to the top,
+    # against membership of each degree-e monomial outside (x^a, y^b)
     for a in range(2, 7):
         for b in range(2, 7):
             for heights in _staircase_heights(a, b):
                 ideal = staircase_ideal(a, b, heights)
-                rows = _staircase_kept_rows(a, b, heights)
-                assert rows == [kept_rows(a, b, e, ideal) for e in range(a + b - 1)]
+                rows = staircase_rows(a, b, heights)
+                assert rows == [
+                    tuple(n for n, j in enumerate(j for j in range(e + 1) if e - j < a and j < b)
+                          if ideal.contains(Monomial((e - j, j))))
+                    for e in range(a + b - 1)
+                ]
                 assert len(rows[a + b - 2]) == ideal.contains(Monomial((a - 1, b - 1)))
 
 
@@ -161,7 +169,7 @@ def test_corpora_are_nonzero_modules():
         algebra_quotient(ideal)
         for a in range(1, limit + 1)
         for b in range(1, limit + 1)
-        for ideal in staircase_ideals(a, b)
+        for ideal in staircases(a, b)
     ]
     assert list(algebra_corpus(limit)) == [
         m for m in algebras if not m.hilbert_series().is_zero
