@@ -253,19 +253,26 @@ def _scan_maps(
     if series.is_zero:
         return ()
     p, q = series.start, series.end
-    # dims[k] = h_(p+k) and bases[k] is that degree's basis, read once through
-    # degree_basis (the name under which benchmarks/spans.py times basis reads)
-    # as y-exponents in two variables, else as codes in one radix above q.
+    # dims[k] = h_(p+k), and basis(k) is the degree-k basis as the ranks read
+    # it.  In two variables that is its y-exponents, all read up front through
+    # degree_basis, the name under which benchmarks/spans.py counts and times
+    # basis reads.  Otherwise it is codes in one radix above q, packed from
+    # the index's bare exponent tuples when a map first needs them, so such a
+    # scan makes no Monomial and packs only the degrees it ranks or tests.
     dims = series.coeffs
     max_d = 1 if only_d_one else q - p
-    bases = [module.degree_basis(k) for k in range(p, q + 1)]
     if module.nvars == 2:
         # the window of ell^d is (0, d), or (d, d) without x and (0, 0) without y
         x, y = ell.coefficients
-        bases = [[u.exponents[1] for u in basis] for basis in bases]
+        basis = {k: [u.exponents[1] for u in module.degree_basis(k)] for k in range(p, q + 1)}.get
     else:
         shift = q.bit_length()
-        bases = [[_pack(u.exponents, shift) for u in basis] for basis in bases]
+        index, codes = module._index, {}
+
+        def basis(k: int) -> list[int]:
+            if k not in codes:
+                codes[k] = [_pack(exponents, shift) for exponents in index[k]]
+            return codes[k]
     if only_d_one:
         g = max(map(sum, module.numerator.generator_exponents))
         # x_v u is u + steps[v]: the y-exponent of x u is that of u, and no
@@ -285,15 +292,15 @@ def _scan_maps(
                 continue
             if injective_from.get(i, 0) >= d or surjective_onto.get(i + d, 0) >= d:
                 continue
-            source, target = bases[i - p], bases[i + d - p]
             if only_d_one and (
                 i >= g and i in surjective_onto
-                or i + 1 in injective_from and not _has_socle(source, target, steps)
+                or i + 1 in injective_from and not _has_socle(basis(i), basis(i + 1), steps)
             ):
                 rank = expected
             elif module.nvars == 2:
-                rank = _window_rank(source, target, 0 if x else d, d if y else 0)
+                rank = _window_rank(basis(i), basis(i + d), 0 if x else d, d if y else 0)
             else:
+                source, target = basis(i), basis(i + d)
                 table = _packed_power(ell, d, shift, CERTIFICATE_PRIME)
                 rank = _rank_mod_p(_images(source, target, table))
                 if rank != expected:
@@ -324,6 +331,8 @@ def direct_sum_check(
     """
     if property not in ("WLP", "SLP"):
         raise ValueError("property must be 'WLP' or 'SLP'")
+    if not summands:
+        raise ValueError("direct sum needs at least one summand")
     strings = tuple(
         (s + summand.shift, m)
         for summand in summands
@@ -718,7 +727,8 @@ def csm_slp_criterion(ideal: MonomialIdeal, v: int) -> bool:
     min(a_k, b_k), reaches min(sum a_k, sum b_k) only if every one does.
     """
     tildes = [entry.tilde for entry in csm_decompose(ideal, v).entries]
-    return direct_sum_check([Summand(t) for t in tildes], property="SLP").holds
+    # the unit ideal has no central simple module, so nothing is verified
+    return bool(tildes) and direct_sum_check([Summand(t) for t in tildes], property="SLP").holds
 
 
 class TensorCondition(Enum):
@@ -749,16 +759,25 @@ def tensor_slp_condition(alpha: int, beta: int, a: int, b: int) -> TensorConditi
 def type_two_ideal(
     a: int, b: int, c: int, alpha: int, beta: int, gamma: int
 ) -> MonomialIdeal:
-    """The ideal (x^a, y^b, z^c, x^alpha z^gamma, y^beta z^gamma)."""
-    return MonomialIdeal.from_generators(
-        [
-            Monomial((a, 0, 0)),
-            Monomial((0, b, 0)),
-            Monomial((0, 0, c)),
-            Monomial((alpha, 0, gamma)),
-            Monomial((0, beta, gamma)),
-        ]
-    )
+    """The ideal (x^a, y^b, z^c, x^alpha z^gamma, y^beta z^gamma).
+
+    Requires 0 < alpha < a, 0 < beta < b, 0 < gamma < c.  Then the five
+    generators are the minimal ones as they stand: no pure power divides
+    another, or a mixed generator, whose exponents lie below a, b and c;
+    a mixed generator, with two variables, divides no pure power; and each
+    mixed generator has a positive exponent where the other has none.
+    """
+    _refuse_type_two_params(a, b, c, alpha, beta, gamma)
+    generators = [(a, 0, 0), (0, b, 0), (0, 0, c), (alpha, 0, gamma), (0, beta, gamma)]
+    return MonomialIdeal(frozenset(map(Monomial, generators)), 3)
+
+
+def _refuse_type_two_params(a: int, b: int, c: int, alpha: int, beta: int, gamma: int) -> None:
+    """Raise ValueError unless 0 < alpha < a, 0 < beta < b, 0 < gamma < c."""
+    if not (0 < alpha < a and 0 < beta < b and 0 < gamma < c):
+        raise ValueError(
+            "parameters must satisfy 0 < alpha < a, 0 < beta < b, 0 < gamma < c"
+        )
 
 
 @dataclass(frozen=True)
@@ -783,10 +802,7 @@ def type_two_slp_conditions(
     condition set predicts the SLP of
     S/(x^a, y^b, z^c, x^alpha z^gamma, y^beta z^gamma).
     """
-    if not (0 < alpha < a and 0 < beta < b and 0 < gamma < c):
-        raise ValueError(
-            "parameters must satisfy 0 < alpha < a, 0 < beta < b, 0 < gamma < c"
-        )
+    _refuse_type_two_params(a, b, c, alpha, beta, gamma)
     lo, hi = min(alpha, beta), max(alpha, beta)
     conditions = set()
     if alpha + beta - 1 <= a + b - c <= alpha + beta + 1:

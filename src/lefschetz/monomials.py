@@ -295,7 +295,7 @@ class QuotientModule:
             )
 
     @cached_property
-    def _index(self) -> dict[int, tuple[Monomial, ...]]:
+    def _index(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         """The degree -> basis buckets, built once and never changed.
 
         Every basis monomial lies in the box of the denominator's pure-power
@@ -311,8 +311,8 @@ class QuotientModule:
         starts at hi and each numerator generator lowers it the same way.
         Prefixes and last exponents are walked in descending order, so every
         bucket is in descending lex order.  A degree without a bucket is
-        zero.  Cells skip Monomial's validation, which cannot fail for them:
-        their exponents come from the ranges of caps the ideals validated.
+        zero.  A bucket holds bare exponent tuples, which the scan packs as
+        they are; :meth:`degree_basis` makes their Monomials.
         """
         if self.numerator.is_zero:
             return {}
@@ -321,11 +321,11 @@ class QuotientModule:
         hi = dict.fromkeys(itertools.product(*(range(c - 1, -1, -1) for c in head_caps)), last_cap)
         _lower(hi, head_caps, self.denominator.generator_exponents)
         lo = _lower(dict(hi), head_caps, self.numerator.generator_exponents)
-        members: list[list[Monomial]] = [[] for _ in range(self.top_degree_bound() + 1)]
+        members: list[list[tuple[int, ...]]] = [[] for _ in range(self.top_degree_bound() + 1)]
         for prefix, top in hi.items():
             base = sum(prefix)
             for e in range(top - 1, lo[prefix] - 1, -1):
-                members[base + e].append(_cell(prefix + (e,)))
+                members[base + e].append(prefix + (e,))
         return {d: tuple(basis) for d, basis in enumerate(members) if basis}
 
     @cached_property
@@ -357,10 +357,14 @@ class QuotientModule:
         return tuple(sorted(tuple(v for v in range(nvars) if c >> v & 1) for c in classes))
 
     def degree_basis(self, d: int) -> list[Monomial]:
-        """The degree-d basis in descending lex order, as a fresh list."""
+        """The degree-d basis in descending lex order, as a fresh list.
+
+        Its cells skip Monomial's validation, which cannot fail for them:
+        their exponents come from the ranges of caps the ideals validated.
+        """
         if d < 0:
             raise ValueError("degree must be nonnegative")
-        return list(self._index.get(d, ()))
+        return list(map(_cell, self._index.get(d, ())))
 
     def top_degree_bound(self) -> int:
         """Largest degree that can carry a nonzero graded piece."""

@@ -142,6 +142,14 @@ def test_csm_json(capsys):
     assert [e["exponent"] for e in report["result"]["entries"]] == [4, 1]
 
 
+def test_csm_of_the_unit_ideal_verifies_nothing(capsys):
+    code, out, _ = run(capsys, "csm", "--ideal", "1", "--vars", "3", "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["entries"] == []
+    assert result["slp_criterion"] is False
+
+
 def test_lgv_oracle(capsys):
     code, out, _ = run(
         capsys, "lgv", "--a", "1,3", "--b", "0,2", "--oracle", "--format", "json"

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -29,6 +30,7 @@ from lefschetz import (
     type_two_slp_conditions,
 )
 import lefschetz.lefschetz as lefschetz_module
+import lefschetz.monomials as monomials_module
 from lefschetz.exact import CERTIFICATE_PRIME
 from lefschetz.monomials import algebra_quotient
 from test_scan_oracle import unpruned_failures
@@ -157,6 +159,13 @@ def test_direct_sum_refuses_a_summand_below_degree_zero():
         direct_sum_check([Summand(shifted.module, shift=-2)], property="WLP")
 
 
+def test_direct_sum_refuses_an_empty_sum():
+    with pytest.raises(ValueError, match="at least one summand"):
+        direct_sum_check([])
+    with pytest.raises(ValueError, match="at least one module"):
+        direct_sum_slp([])
+
+
 def test_split_direct_sum_builds_no_matrix(monkeypatch):
     module = algebra_quotient(parse_ideal("x^3, y^3, z^3"))
     summands = [Summand(module), Summand(module, shift=1)]
@@ -256,10 +265,60 @@ def test_two_variable_scan_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(LinearForm, "power_expansion", no_matrix)
     monkeypatch.setattr(QuotientModule, "degree_basis", spy_basis)
     assert check_slp(module).failures == expected[forms[0], False]
-    # the scan still reads its bases through degree_basis
+    # a two-variable scan reads its bases through degree_basis
     assert read
     for (form, only_d_one), failures in expected.items():
         assert lefschetz_module._scan_maps(module, form, only_d_one) == failures
+
+
+def test_scan_outside_two_variables_makes_no_monomial(monkeypatch):
+    def modules():
+        # connected, so check_slp scans them; fresh, so no index is built yet
+        return [
+            QuotientModule(parse_ideal(num, nvars), parse_ideal(den, nvars))
+            for num, den, nvars in [
+                ("x^2", "x^5", 1),
+                ("1", "x^3, y^3, z^3, x*y*z", 3),
+                ("x*y, z^2", "x^3, y^3, z^3, x^2*y*z", 3),
+                ("1", "x^3, y^3, z^3, t^3, x*y*z*t", 4),
+                ("x*t, y*z", "x^3, y^3, z^2, t^2, x*y*z*t", 4),
+            ]
+        ]
+
+    expected = [
+        (unpruned_failures([Summand(m)], False), unpruned_failures([Summand(m)], True))
+        for m in modules()
+    ]
+    # one failing and one passing module in three variables and in four
+    assert [bool(slp) for slp, _ in expected] == [False, True, False, True, False]
+
+    def no_cell(exponents):
+        raise AssertionError("a basis Monomial was made")
+
+    monkeypatch.setattr(monomials_module, "_cell", no_cell)
+    for module, (slp, wlp) in zip(modules(), expected):
+        assert check_slp(module).failures == slp
+        assert check_wlp(module).failures == wlp
+
+
+def test_wlp_scan_packs_only_the_degrees_it_reads(monkeypatch):
+    module = algebra_quotient(parse_ideal("x^20, y^20, z^20, x^10*y^10*z^10"))
+    h = module.hilbert_series().coeffs
+    packed = []
+    pack = lefschetz_module._pack
+
+    def spy(exponents, shift):
+        packed.append(exponents)
+        return pack(exponents, shift)
+
+    lefschetz_module._packed_power.cache_clear()
+    monkeypatch.setattr(lefschetz_module, "_pack", spy)
+    assert check_wlp(module).holds
+    # h rises to h_28 = h_29 and then falls.  The scan ranks M_28 -> M_29
+    # and M_27 -> M_28 and tests the socle of every lower degree; each map
+    # above degree 29 is carried up and reads no basis.  The other three
+    # codes are the terms of x + y + z.
+    assert len(packed) == sum(h[:30]) + 3 < sum(h)
 
 
 def test_split_complete_intersection_builds_no_matrix(monkeypatch):
@@ -487,6 +546,13 @@ def test_csm_criterion_example():
     assert check_slp(algebra_quotient(ideal)).holds
 
 
+def test_csm_criterion_of_an_empty_decomposition_is_false():
+    # S/(1) is zero: it has no central simple module, so no tilde to verify
+    unit = MonomialIdeal.unit(3)
+    assert csm_decompose(unit, 0).entries == ()
+    assert not csm_slp_criterion(unit, 0)
+
+
 def test_tensor_condition_classification():
     assert tensor_slp_condition(1, 2, 2, 3) is TensorCondition.SMALL_CASE
     assert tensor_slp_condition(2, 3, 3, 4) is TensorCondition.SYMMETRIC_CASE
@@ -505,6 +571,29 @@ def test_type_two_ideal_generators():
         Monomial((1, 0, 2)),
         Monomial((0, 2, 2)),
     }
+
+
+def test_type_two_ideal_is_its_minimalised_generating_set():
+    from lefschetz.sweeps import _type_two_params
+
+    for a, b, c, alpha, beta, gamma in _type_two_params(4):
+        monomials = [(a, 0, 0), (0, b, 0), (0, 0, c), (alpha, 0, gamma), (0, beta, gamma)]
+        assert type_two_ideal(a, b, c, alpha, beta, gamma) == MonomialIdeal.from_generators(
+            map(Monomial, monomials)
+        )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [(3, 4, 3, 3, 2, 2), (3, 4, 3, 1, 0, 2), (3, 4, 3, 1, 2, 3)],
+    ids=["alpha=a", "beta=0", "gamma=c"],
+)
+def test_type_two_ideal_refuses_parameters_out_of_range(params):
+    message = re.escape("parameters must satisfy 0 < alpha < a, 0 < beta < b, 0 < gamma < c")
+    with pytest.raises(ValueError, match=message):
+        type_two_slp_conditions(*params)
+    with pytest.raises(ValueError, match=message):
+        type_two_ideal(*params)
 
 
 def test_type_two_conditions():
