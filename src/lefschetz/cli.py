@@ -28,7 +28,6 @@ from .lefschetz import (
 )
 from .lgv import binomial_matrix, count_nonintersecting, lgv_positivity, run_pipeline
 from .monomials import (
-    Monomial,
     MonomialIdeal,
     ParseError,
     QuotientModule,
@@ -37,7 +36,6 @@ from .monomials import (
     infer_nvars,
     lex_ideal,
     parse_ideal,
-    parse_monomial,
 )
 from .series import is_almost_centered, is_symmetric, is_unimodal
 
@@ -243,7 +241,7 @@ def _run_sweep(args) -> tuple[dict, int]:
 def _reproduce_one_variable() -> tuple[dict, list]:
     square = QuotientModule(
         MonomialIdeal.unit(1),
-        MonomialIdeal.from_generators([Monomial((2,))]),
+        MonomialIdeal(((2,),), 1),
     )
     report = direct_sum_check(
         [Summand(square), Summand(square, shift=2)], property="WLP"

@@ -18,14 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import CERTIFICATE_PRIME, ExactMatrix, _rank_mod_p, multinomial
 from .lgv import _window_rank
-from .monomials import (
-    MAX_BOX_CELLS,
-    Monomial,
-    MonomialIdeal,
-    QuotientModule,
-    monomials_of_degree,
-    variable_power,
-)
+from .monomials import MAX_BOX_CELLS, MonomialIdeal, QuotientModule, exponents_of_degree
 from .series import (
     HilbertSeries,
     ReflectingDegree,
@@ -45,6 +38,8 @@ class LinearForm:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if any(type(c) is not int for c in self.coefficients):
+            raise ValueError(f"linear form coefficients must be integers, got {self.coefficients}")
         if not self.coefficients or all(c == 0 for c in self.coefficients):
             raise ValueError("linear form must have a nonzero coefficient")
 
@@ -66,10 +61,10 @@ class LinearForm:
         if d < 0:
             raise ValueError("power must be nonnegative")
         terms = []
-        for m in monomials_of_degree(self.nvars, d):
-            coeff = math.prod(map(pow, self.coefficients, m.exponents))
+        for exps in exponents_of_degree(d, self.nvars):
+            coeff = math.prod(map(pow, self.coefficients, exps))
             if coeff:
-                terms.append((m.exponents, multinomial(d, m.exponents) * coeff))
+                terms.append((exps, multinomial(d, exps) * coeff))
         return tuple(terms)
 
     def __str__(self) -> str:
@@ -225,21 +220,24 @@ def _scan_maps(
     shorter map out of M_i injective, and a surjective map onto M_j of
     length D makes every shorter map onto M_j surjective.  Such maps have
     maximal rank and are skipped; every other map is ranked, so a failing
-    map is never skipped.
+    map is never skipped.  The WLP scan (``only_d_one``) is this scan
+    started at d = 1, its last pass.
 
-    The WLP scan (``only_d_one``) carries maximal rank along d = 1 by two
-    rules (Migliore, Miro-Roig and Nagel, Trans. AMS 363 (2011), Prop. 2.1,
-    in module form).  Let g be the top degree of the numerator's minimal
-    generators, which generate M.  Surjectivity carries up: if
-    M_(i-1) -> M_i is onto and i >= g, then M_(i+1) = S_1 M_i
-    = ell S_1 M_(i-1), which lies in ell M_i, so M_i -> M_(i+1) is onto.
-    Injectivity carries down: if ell is injective on M_(i+1) and no
-    monomial of M_i is in the socle, then ell u = 0 gives ell x_v u = 0, so
-    x_v u = 0 for every variable and u lies in the socle, hence u = 0.  A
-    monomial u is in the socle when no x_v u is in the degree-(i+1) basis.
-    So the maps with h_(i+1) <= h_i are visited in ascending i and the
-    others in descending i; a map either rule proves is skipped, and
-    carries its own rule on.  A failing map proves nothing.
+    The d = 1 pass carries maximal rank by two rules (Migliore, Miro-Roig
+    and Nagel, Trans. AMS 363 (2011), Prop. 2.1, in module form).  Let g be
+    the top degree of the numerator's minimal generators, which generate M.
+    Surjectivity carries up: if M_(i-1) -> M_i is onto and i >= g, then
+    M_(i+1) = S_1 M_i = ell S_1 M_(i-1), which lies in ell M_i, so
+    M_i -> M_(i+1) is onto.  Injectivity carries down: if ell is injective
+    on M_(i+1) and no monomial of M_i is in the socle, then ell u = 0 gives
+    ell x_v u = 0, so x_v u = 0 for every variable and u lies in the socle,
+    hence u = 0.  A monomial u is in the socle when no x_v u is in the
+    degree-(i+1) basis.  A verified ell^D onto M_i makes ell onto M_i, and
+    a verified ell^D injective on M_(i+1) makes ell injective there, so a
+    longer pass feeds both rules.  The maps with h_(i+1) <= h_i are visited
+    in ascending i and the others in descending i; a map either rule
+    proves is skipped, and carries its own rule on.  A failing map proves
+    nothing.
 
     A map of a two-variable module is ranked exactly by the window rule on
     its bases' y-exponents (see :func:`lgv._window_rank`).  Any other map
@@ -260,39 +258,38 @@ def _scan_maps(
     # the index's bare exponent tuples when a map first needs them, so such a
     # scan makes no Monomial and packs only the degrees it ranks or tests.
     dims = series.coeffs
-    max_d = 1 if only_d_one else q - p
+    g = max(map(sum, module.numerator.generator_exponents))
+    # x_v u is u + steps[v]: the y-exponent of x u is that of u, and no digit
+    # of a code below degree q carries
     if module.nvars == 2:
         # the window of ell^d is (0, d), or (d, d) without x and (0, 0) without y
         x, y = ell.coefficients
         basis = {k: [u.exponents[1] for u in module.degree_basis(k)] for k in range(p, q + 1)}.get
+        steps = (0, 1)
     else:
         shift = q.bit_length()
         index, codes = module._index, {}
+        steps = [1 << shift * k for k in range(module.nvars)]
 
         def basis(k: int) -> list[int]:
             if k not in codes:
                 codes[k] = [_pack(exponents, shift) for exponents in index[k]]
             return codes[k]
-    if only_d_one:
-        g = max(map(sum, module.numerator.generator_exponents))
-        # x_v u is u + steps[v]: the y-exponent of x u is that of u, and no
-        # digit of a code below degree q carries
-        steps = (0, 1) if module.nvars == 2 else [1 << shift * k for k in range(module.nvars)]
-        falling = [i for i in range(p, q) if dims[i + 1 - p] <= dims[i - p]]
-        rising = [i for i in range(q - 1, p - 1, -1) if dims[i + 1 - p] > dims[i - p]]
+    falling = [i for i in range(p, q) if dims[i + 1 - p] <= dims[i - p]]
+    rising = [i for i in range(q - 1, p - 1, -1) if dims[i + 1 - p] > dims[i - p]]
     # Longest verified injective map out of each degree, surjective map onto it.
     injective_from: dict[int, int] = {}
     surjective_onto: dict[int, int] = {}
     failures = []
-    for d in range(max_d, 0, -1):
-        for i in falling + rising if only_d_one else range(p, q - d + 1):
+    for d in range(1 if only_d_one else q - p, 0, -1):
+        for i in falling + rising if d == 1 else range(p, q - d + 1):
             dim_source, dim_target = dims[i - p], dims[i + d - p]
             expected = min(dim_source, dim_target)
             if expected == 0:
                 continue
             if injective_from.get(i, 0) >= d or surjective_onto.get(i + d, 0) >= d:
                 continue
-            if only_d_one and (
+            if d == 1 and (
                 i >= g and i in surjective_onto
                 or i + 1 in injective_from and not _has_socle(basis(i), basis(i + 1), steps)
             ):
@@ -350,10 +347,14 @@ def direct_sum_check(
 
 
 def _restricted(ideal: MonomialIdeal, variables: tuple[int, ...]) -> MonomialIdeal:
-    """The generators supported on ``variables``, as an ideal in those variables."""
+    """The generators supported on ``variables``, as an ideal in those variables.
+
+    The variables are ascending and the kept generators are 0 elsewhere, so
+    their projections stay a sorted antichain.
+    """
     return MonomialIdeal(
-        frozenset(
-            Monomial(tuple(g[v] for v in variables))
+        tuple(
+            tuple(g[v] for v in variables)
             for g in ideal.generator_exponents
             if all(e == 0 or v in variables for v, e in enumerate(g))
         ),
@@ -700,7 +701,7 @@ def csm_decompose(ideal: MonomialIdeal, v: int) -> CSMReport:
     if not ideal.is_artinian():
         raise ValueError("ideal must be Artinian")
     r = ideal.pure_power_exponent(v)
-    xv = MonomialIdeal.from_generators([variable_power(ideal.nvars, v, 1)])
+    xv = MonomialIdeal((tuple(int(u == v) for u in range(ideal.nvars)),), ideal.nvars)
     chain = [ideal.colon_variable_power(v, j) + xv for j in range(r + 1)]
     entries = []
     for f in range(r, 0, -1):
@@ -765,11 +766,12 @@ def type_two_ideal(
     generators are the minimal ones as they stand: no pure power divides
     another, or a mixed generator, whose exponents lie below a, b and c;
     a mixed generator, with two variables, divides no pure power; and each
-    mixed generator has a positive exponent where the other has none.
+    mixed generator has a positive exponent where the other has none.  They
+    are listed in ascending lex order.
     """
     _refuse_type_two_params(a, b, c, alpha, beta, gamma)
-    generators = [(a, 0, 0), (0, b, 0), (0, 0, c), (alpha, 0, gamma), (0, beta, gamma)]
-    return MonomialIdeal(frozenset(map(Monomial, generators)), 3)
+    generators = ((0, 0, c), (0, beta, gamma), (0, b, 0), (alpha, 0, gamma), (a, 0, 0))
+    return MonomialIdeal(generators, 3)
 
 
 def _refuse_type_two_params(a: int, b: int, c: int, alpha: int, beta: int, gamma: int) -> None:

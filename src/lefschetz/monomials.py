@@ -25,6 +25,20 @@ MAX_VARIABLES = 4
 MAX_BOX_CELLS = 20_000
 
 
+def _refuse_exponents(exponents: tuple[int, ...]) -> None:
+    """Raise ValueError unless every exponent is a nonnegative int."""
+    if {*map(type, exponents)} != {int}:
+        raise ValueError(f"exponents must be integers, got {exponents}")
+    if min(exponents) < 0:
+        raise ValueError(f"negative exponent in {exponents}")
+
+
+def _format(exponents: tuple[int, ...]) -> str:
+    """A monomial as text, such as ``x^2*y``; ``1`` when every exponent is 0."""
+    parts = [var if e == 1 else f"{var}^{e}" for var, e in zip(VARIABLES, exponents) if e]
+    return "*".join(parts) or "1"
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A monomial given by its exponent vector over a fixed ambient ring."""
@@ -34,8 +48,7 @@ class Monomial:
     def __post_init__(self) -> None:
         if not 1 <= len(self.exponents) <= MAX_VARIABLES:
             raise ValueError(f"ambient variable count must be 1..{MAX_VARIABLES}")
-        if min(self.exponents) < 0:
-            raise ValueError(f"negative exponent in {self.exponents}")
+        _refuse_exponents(self.exponents)
 
     @property
     def nvars(self) -> int:
@@ -45,20 +58,8 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def extended(self, nvars: int) -> "Monomial":
-        """The same monomial viewed in a larger ambient ring."""
-        if nvars < self.nvars:
-            raise ValueError("cannot shrink ambient ring")
-        return Monomial(self.exponents + (0,) * (nvars - self.nvars))
-
     def __str__(self) -> str:
-        parts = []
-        for var, e in zip(VARIABLES, self.exponents):
-            if e == 1:
-                parts.append(var)
-            elif e > 1:
-                parts.append(f"{var}^{e}")
-        return "*".join(parts) if parts else "1"
+        return _format(self.exponents)
 
 
 def variable_power(nvars: int, v: int, e: int) -> Monomial:
@@ -120,34 +121,44 @@ def _lower(bounds: dict, head_caps: list[int], generators) -> dict:
     return bounds
 
 
-def sort_descending(monomials: Iterable[Monomial]) -> list[Monomial]:
-    return sorted(monomials, key=lambda m: m.exponents, reverse=True)
+def _minimal(exponents: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The minimal elements of exponent tuples under division, sorted.
+
+    In ascending lex order every divisor comes before its multiples, so a
+    tuple is minimal exactly when no tuple kept before it divides it.
+    """
+    minimal: list[tuple[int, ...]] = []
+    for exps in sorted(set(exponents)):
+        if not divisible_by_any(exps, minimal):
+            minimal.append(exps)
+    return tuple(minimal)
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal stored by its unique minimal generating antichain.
 
-    The zero ideal has no generators; the unit ideal is generated by 1.
-    Use :meth:`from_generators` to construct one from an arbitrary
-    generating set.
+    ``generator_exponents`` holds the minimal generators' exponent tuples
+    in ascending lex order, so equal ideals are equal values.  The zero
+    ideal has no generators; the unit ideal is generated by 1.  Use
+    :meth:`from_generators` to construct one from an arbitrary generating
+    set.
     """
 
-    generators: frozenset[Monomial]
+    generator_exponents: tuple[tuple[int, ...], ...]
     nvars: int
 
     def __post_init__(self) -> None:
         if not 1 <= self.nvars <= MAX_VARIABLES:
             raise ValueError(f"ambient variable count must be 1..{MAX_VARIABLES}")
-        for g in self.generators:
-            if g.nvars != self.nvars:
-                raise ValueError("generator ambient ring mismatch")
-        # A proper divisor has a smaller degree, so it comes first.
-        seen: list[tuple[int, ...]] = []
-        for exps in sorted((g.exponents for g in self.generators), key=sum):
-            if divisible_by_any(exps, seen):
-                raise ValueError("generators are not an antichain; use from_generators")
-            seen.append(exps)
+        gens = self.generator_exponents
+        if type(gens) is not tuple or {*map(type, gens)} - {tuple} or {*map(len, gens)} - {self.nvars}:
+            raise ValueError(f"generators must be a tuple of {self.nvars}-tuples of exponents")
+        for k, g in enumerate(gens):
+            _refuse_exponents(g)
+            # In ascending lex order a divisor comes before its multiples.
+            if k and (g <= gens[k - 1] or divisible_by_any(g, gens[:k])):
+                raise ValueError("generators are not a sorted antichain; use from_generators")
 
     @classmethod
     def from_generators(
@@ -158,42 +169,33 @@ class MonomialIdeal:
             if not gens:
                 raise ValueError("nvars required for the zero ideal")
             nvars = gens[0].nvars
-        sizes = {g.nvars for g in gens}
-        if sizes and sizes != {nvars}:
+        if any(g.nvars != nvars for g in gens):
             raise ValueError("mixed ambient ring sizes")
-        # Ascending degree puts every divisor before its multiples, so a
-        # tuple is minimal exactly when no tuple kept before it divides it.
-        by_exponents = {g.exponents: g for g in gens}
-        minimal: list[tuple[int, ...]] = []
-        for exps in sorted(by_exponents, key=sum):
-            if not divisible_by_any(exps, minimal):
-                minimal.append(exps)
-        return cls(frozenset(by_exponents[e] for e in minimal), nvars)
+        return cls(_minimal(g.exponents for g in gens), nvars)
 
     @classmethod
     def zero(cls, nvars: int) -> "MonomialIdeal":
-        return cls(frozenset(), nvars)
+        return cls((), nvars)
 
     @classmethod
     def unit(cls, nvars: int) -> "MonomialIdeal":
-        return cls(frozenset({Monomial((0,) * nvars)}), nvars)
+        return cls(((0,) * nvars,), nvars)
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self.generator_exponents
 
     @property
     def is_unit(self) -> bool:
-        return any(g.degree == 0 for g in self.generators)
+        return (0,) * self.nvars in self.generator_exponents
+
+    @property
+    def generators(self) -> frozenset[Monomial]:
+        return frozenset(map(Monomial, self.generator_exponents))
 
     def sorted_generators(self) -> list[Monomial]:
-        return sort_descending(self.generators)
-
-    @cached_property
-    def generator_exponents(self) -> tuple[tuple[int, ...], ...]:
-        """The minimal generators' exponent vectors, sorted, so equal ideals
-        give equal tuples."""
-        return tuple(sorted(g.exponents for g in self.generators))
+        """The minimal generators in descending lex order."""
+        return [Monomial(g) for g in reversed(self.generator_exponents)]
 
     def contains(self, m: Monomial) -> bool:
         if m.nvars != self.nvars:
@@ -234,33 +236,35 @@ class MonomialIdeal:
             raise ValueError("variable index out of range")
         if j == 0 or self.is_zero:
             return self
-        quotients = []
-        for g in self.generators:
-            exps = list(g.exponents)
-            exps[v] = max(exps[v] - j, 0)
-            quotients.append(Monomial(tuple(exps)))
-        return MonomialIdeal.from_generators(quotients, self.nvars)
+        quotients = (
+            g[:v] + (max(g[v] - j, 0),) + g[v + 1:] for g in self.generator_exponents
+        )
+        return MonomialIdeal(_minimal(quotients), self.nvars)
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.nvars != other.nvars:
             raise ValueError("mixed ambient rings")
-        return MonomialIdeal.from_generators(
-            list(self.generators) + list(other.generators), self.nvars
+        return MonomialIdeal(
+            _minimal(self.generator_exponents + other.generator_exponents), self.nvars
         )
 
     def extended(self, nvars: int) -> "MonomialIdeal":
-        return MonomialIdeal(
-            frozenset(g.extended(nvars) for g in self.generators), nvars
-        )
+        """The same ideal in a larger ambient ring: zeros appended to every
+        generator keep a sorted antichain."""
+        if nvars < self.nvars:
+            raise ValueError("cannot shrink ambient ring")
+        pad = (0,) * (nvars - self.nvars)
+        return MonomialIdeal(tuple(g + pad for g in self.generator_exponents), nvars)
 
     def dimension_in_degree(self, d: int) -> int:
         """dim_k of the degree-d graded piece of the ideal."""
-        return sum(1 for m in monomials_of_degree(self.nvars, d) if self.contains(m))
+        gens = self.generator_exponents
+        return sum(divisible_by_any(e, gens) for e in exponents_of_degree(d, self.nvars))
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        return ", ".join(str(g) for g in self.sorted_generators())
+        return ", ".join(map(_format, reversed(self.generator_exponents)))
 
 
 @dataclass(frozen=True)
@@ -401,11 +405,10 @@ class QuotientModule:
         """
         self.refuse_truncation(c)
         nvars = self.nvars + 1
-        num = self.numerator.extended(nvars)
-        den = self.denominator.extended(nvars) + MonomialIdeal.from_generators(
-            [variable_power(nvars, nvars - 1, c)]
+        t_power = MonomialIdeal(((0,) * self.nvars + (c,),), nvars)
+        return QuotientModule(
+            self.numerator.extended(nvars), self.denominator.extended(nvars) + t_power
         )
-        return QuotientModule(num, den)
 
     def __str__(self) -> str:
         return f"({self.numerator})/({self.denominator})"
@@ -427,17 +430,17 @@ def lex_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("lex ideal construction requires exactly 2 variables")
     if ideal.is_zero or ideal.is_unit:
         return ideal
-    maxdeg = max(g.degree for g in ideal.generators)
+    maxdeg = max(map(sum, ideal.generator_exponents))
     # Beyond maxdeg the codimension of S/I is non-increasing, so new lex
     # generators (which need the codimension to drop) stop appearing once it
     # has bottomed out.
     codim_at_top = (maxdeg + 1) - ideal.dimension_in_degree(maxdeg)
     limit = maxdeg + codim_at_top + 2
-    segment_members: list[Monomial] = []
+    segment_members = []
     for d in range(limit + 1):
         t = ideal.dimension_in_degree(d)
-        segment_members.extend(Monomial((d - j, j)) for j in range(t))
-    return MonomialIdeal.from_generators(segment_members, nvars=2)
+        segment_members.extend((d - j, j) for j in range(t))
+    return MonomialIdeal(_minimal(segment_members), 2)
 
 
 _TOKEN = re.compile(r"\s*([a-zA-Z])\s*(?:\^\s*(-?\d+))?\s*")
@@ -454,11 +457,16 @@ class ParseError(ValueError):
 
 def parse_monomial(text: str, nvars: int) -> Monomial:
     """Parse a product of ``var^exp`` factors separated by '*' or whitespace."""
+    return Monomial(_parse_exponents(text, nvars))
+
+
+def _parse_exponents(text: str, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a monomial expression (see :func:`parse_monomial`)."""
     exps = [0] * nvars
     pos = 0
     stripped = text.strip()
     if stripped == "1":
-        return Monomial(tuple(exps))
+        return tuple(exps)
     expect_factor = True
     while pos < len(text):
         if text[pos].isspace():
@@ -484,7 +492,7 @@ def parse_monomial(text: str, nvars: int) -> Monomial:
         pos = match.end()
     if expect_factor:
         raise ParseError("empty monomial expression", pos)
-    return Monomial(tuple(exps))
+    return tuple(exps)
 
 
 def infer_nvars(text: str) -> int:
@@ -515,8 +523,8 @@ def parse_ideal(text: str, nvars: Optional[int] = None) -> MonomialIdeal:
     start = len(text) - len(text.lstrip())
     for part in stripped.split(","):
         try:
-            gens.append(parse_monomial(part, nvars))
+            gens.append(_parse_exponents(part, nvars))
         except ParseError as error:
             raise ParseError(error.message, start + error.position) from None
         start += len(part) + 1
-    return MonomialIdeal.from_generators(gens, nvars=nvars)
+    return MonomialIdeal(_minimal(gens), nvars)

@@ -24,7 +24,7 @@ from .lefschetz import (
     TensorCondition,
 )
 from .lgv import binomial_matrix, certify_rows, count_nonintersecting, staircase_rows
-from .monomials import Monomial, MonomialIdeal, QuotientModule, algebra_quotient
+from .monomials import MonomialIdeal, QuotientModule, algebra_quotient
 from .series import is_almost_centered
 
 
@@ -38,16 +38,12 @@ def staircase_ideal(a: int, b: int, heights: tuple[int, ...]) -> MonomialIdeal:
 
     The minimal generators are the corners of the staircase: x^i y^(h_i)
     where the height drops (or i = 0), and x^a unless the last column is
-    already empty.
+    already empty.  They come in ascending lex order, x^a last.
     """
-    gens = {
-        Monomial((i, h))
-        for i, h in enumerate(heights)
-        if i == 0 or h < heights[i - 1]
-    }
+    corners = [(i, h) for i, h in enumerate(heights) if i == 0 or h < heights[i - 1]]
     if not heights or heights[-1]:
-        gens.add(Monomial((a, 0)))
-    return MonomialIdeal(frozenset(gens), 2)
+        corners.append((a, 0))
+    return MonomialIdeal(tuple(corners), 2)
 
 
 # The largest default corpus, the LGV oracle's, has 3,984 cases.
@@ -118,7 +114,7 @@ def _summary(cases: int, violations: list[dict]) -> dict:
 def _main_theorem_case(args: tuple[int, int, tuple[int, ...]]) -> Optional[dict]:
     a, b, heights = args
     ideal = staircase_ideal(a, b, heights)
-    box = MonomialIdeal.from_generators([Monomial((a, 0)), Monomial((0, b))])
+    box = MonomialIdeal(((0, b), (a, 0)), 2)
     report = check_slp(QuotientModule(ideal, box))
     if report.holds:
         return None
@@ -251,11 +247,9 @@ def _tensor_module(alpha: int, beta: int, a: int, b: int) -> QuotientModule:
     """The module (x^alpha, y^beta)/(x^a, y^b), a, b >= 1; both generating
     sets are already minimal, so neither ideal is minimalised."""
     numerator = (
-        MonomialIdeal(frozenset({Monomial((alpha, 0)), Monomial((0, beta))}), 2)
-        if alpha and beta
-        else MonomialIdeal.unit(2)
+        MonomialIdeal(((0, beta), (alpha, 0)), 2) if alpha and beta else MonomialIdeal.unit(2)
     )
-    box = MonomialIdeal(frozenset({Monomial((a, 0)), Monomial((0, b))}), 2)
+    box = MonomialIdeal(((0, b), (a, 0)), 2)
     return QuotientModule(numerator, box)
 
 
@@ -352,7 +346,7 @@ def _algebra_params(limit: int) -> Iterator[tuple]:
 
 def _algebra_module(params: tuple) -> QuotientModule:
     if len(params) == 1:
-        return algebra_quotient(MonomialIdeal(frozenset({Monomial(params)}), 1))
+        return algebra_quotient(MonomialIdeal((params,), 1))
     return algebra_quotient(staircase_ideal(*params))
 
 

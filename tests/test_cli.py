@@ -245,6 +245,15 @@ PINNED_JSON_DIGESTS = {
     # top degree 16 sits on a radix boundary
     ("check", "slp", "--num", "1", "--den", "x^17", "--vars", "1"):
         "e0c0f0285ed64ec4e857148c74b0d0e65805be9e09cbdf28a1e3390f6be284e5",
+    # verbs that print ideals built by parsing, colon, sum and truncation
+    ("hilbert", "--num", "x^3, y^4", "--den", "x^5, y^5"):
+        "a2e7a02f34c52419feb4c28ed63742ffb3a64eb8e443ffca16eb3f25194d3cad",
+    ("csm", "--ideal", "x^3, y^3, z^4, x*z, y*z", "--variable", "x"):
+        "729ec39998088bafc4c536bce4fb7f35e940a9267d3cf597d0d466f78c923a0e",
+    ("csm", "--ideal", "x^3, y^3, z^4, x*z, y*z", "--variable", "z"):
+        "0a236d6a480ca4b30907d92b243fa121dfc1eb9a33cf1f7482a2be7aac9b5ed8",
+    ("pipeline", "--a", "3", "--b", "4", "--ideal", "x^3, y^4", "--i", "1", "--d", "2"):
+        "c56c17ba9e5b34ab1af21a2e00b4343449149bd1aa374fb630bc9d0320ab475a",
 }
 
 

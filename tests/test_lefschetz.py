@@ -29,10 +29,12 @@ from lefschetz import (
     type_two_ideal,
     type_two_slp_conditions,
 )
+from lefschetz import cli
 import lefschetz.lefschetz as lefschetz_module
 import lefschetz.monomials as monomials_module
 from lefschetz.exact import CERTIFICATE_PRIME
 from lefschetz.monomials import algebra_quotient
+from lefschetz.sweeps import sweep_type_two
 from test_scan_oracle import unpruned_failures
 
 
@@ -299,6 +301,61 @@ def test_scan_outside_two_variables_makes_no_monomial(monkeypatch):
     for module, (slp, wlp) in zip(modules(), expected):
         assert check_slp(module).failures == slp
         assert check_wlp(module).failures == wlp
+
+
+def test_a_check_builds_no_monomial(monkeypatch, capsys):
+    # Two check_large inputs of seed 0: a connected three-variable module,
+    # and a four-variable one whose factors are a connected three-variable
+    # module and k[t]/(t^3), which builds no ideal.
+    argvs = [
+        ["check", "slp", "--num", "z", "--den", "z^6, x^6, y^6, x^5*z^5, x^5*y^5",
+         "--format", "json"],
+        ["check", "slp", "--num", "1", "--den", "z^4, y^4, x^4, t^3, y^3*z^3, x^3*y^3",
+         "--format", "json"],
+    ]
+
+    def run_all():
+        printed = []
+        for argv in argvs:
+            assert cli.main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        # the WLP scan never splits, so the four-variable module is scanned whole
+        wlp = check_wlp(algebra_quotient(parse_ideal("z^4, y^4, x^4, t^3, y^3*z^3, x^3*y^3")))
+        ideal = type_two_ideal(3, 3, 4, 1, 2, 2)
+        return printed, wlp, sweep_type_two(limit=3), [csm_decompose(ideal, v) for v in (0, 2)]
+
+    expected = run_all()
+    assert expected[2]["cases"] > 0 and all(report.entries for report in expected[3])
+
+    def no_monomial(*args):
+        raise AssertionError("a Monomial was made")
+
+    monkeypatch.setattr(Monomial, "__post_init__", no_monomial)
+    monkeypatch.setattr(monomials_module, "_cell", no_monomial)
+    lefschetz_module._packed_power.cache_clear()
+    assert run_all() == expected
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda: check_slp(
+            QuotientModule(parse_ideal("x^2, y"), parse_ideal("x^4, y^4")), LinearForm(("a", "b"))
+        ),
+        lambda: check_slp(
+            algebra_quotient(parse_ideal("x^3, y^3, z^3, x*y*z")), LinearForm((1.5, 1, 1))
+        ),
+        lambda: mult_matrix(
+            algebra_quotient(parse_ideal("x^3, y^3, z^3, x*y*z")), LinearForm((0.5, 1, 1)), 1, 1
+        ),
+        lambda: MonomialIdeal.from_generators([Monomial((1.5, 0)), Monomial((0, 3))]),
+    ],
+    ids=["string-form", "fractional-form-in-a-scan", "fractional-form-in-a-matrix",
+         "fractional-exponent"],
+)
+def test_non_integer_forms_and_exponents_are_refused(construct):
+    with pytest.raises(ValueError, match="must be integers"):
+        construct()
 
 
 def test_wlp_scan_packs_only_the_degrees_it_reads(monkeypatch):

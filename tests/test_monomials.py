@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import pickle
 import random
 
@@ -22,8 +23,9 @@ from lefschetz.monomials import (
     algebra_quotient,
     divisible_by_any,
     exponents_of_degree,
-    sort_descending,
 )
+from lefschetz.lefschetz import _restricted
+from lefschetz.sweeps import _staircase_heights, staircase_ideal
 
 
 def test_monomial_basics():
@@ -248,11 +250,11 @@ def reference_from_generators(gens, nvars):
         return all(a <= b for a, b in zip(g.exponents, m.exponents))
 
     minimal = []
-    for m in sort_descending(set(gens)):
+    for m in sorted(set(gens), key=lambda m: m.exponents, reverse=True):
         if not any(divides(g, m) for g in minimal):
             minimal = [g for g in minimal if not divides(m, g)]
             minimal.append(m)
-    return MonomialIdeal(frozenset(minimal), nvars)
+    return MonomialIdeal(tuple(sorted(m.exponents for m in minimal)), nvars)
 
 
 @st.composite
@@ -369,14 +371,69 @@ def test_from_generators_matches_monomial_reference():
         assert ideal == reference_from_generators(gens, nvars)
 
 
+def test_tuple_built_ideals_equal_their_from_generators_construction():
+    for a in range(1, 6):
+        for b in range(1, 6):
+            for heights in _staircase_heights(a, b):
+                # every column's corner, and x^a, minimalised
+                columns = [Monomial((i, h)) for i, h in enumerate(heights)] + [Monomial((a, 0))]
+                assert staircase_ideal(a, b, heights) == MonomialIdeal.from_generators(columns)
+    rng = random.Random(29)
+
+    def drawn(nvars):
+        gens = [
+            Monomial(tuple(rng.randint(0, 3) for _ in range(nvars)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        return gens, MonomialIdeal.from_generators(gens, nvars)
+
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        gens, ideal = drawn(nvars)
+        other_gens, other = drawn(nvars)
+        assert ideal + other == MonomialIdeal.from_generators(gens + other_gens, nvars)
+        v, j = rng.randrange(nvars), rng.randint(0, 4)
+        quotients = [
+            Monomial(tuple(max(e - j, 0) if u == v else e for u, e in enumerate(g.exponents)))
+            for g in gens
+        ]
+        assert ideal.colon_variable_power(v, j) == MonomialIdeal.from_generators(quotients, nvars)
+        if nvars < 4:
+            padded = [Monomial(g.exponents + (0,)) for g in gens]
+            assert ideal.extended(nvars + 1) == MonomialIdeal.from_generators(padded, nvars + 1)
+        variables = tuple(sorted(rng.sample(range(nvars), rng.randint(1, nvars))))
+        kept = [
+            Monomial(tuple(g.exponents[u] for u in variables))
+            for g in ideal.generators
+            if all(e == 0 or u in variables for u, e in enumerate(g.exponents))
+        ]
+        assert _restricted(ideal, variables) == MonomialIdeal.from_generators(kept, len(variables))
+        if nvars == 2:
+            # the lex-largest dim I_d monomials of every degree d, far past
+            # the last degree that can add a generator
+            segments = [
+                m
+                for d in range(21)
+                for m in itertools.islice(
+                    monomials_of_degree(2, d),
+                    sum(map(ideal.contains, monomials_of_degree(2, d))),
+                )
+            ]
+            assert lex_ideal(ideal) == MonomialIdeal.from_generators(segments, 2)
+
+
 def test_non_antichain_generators_are_refused():
     for gens in (
-        [Monomial((1, 0)), Monomial((2, 1))],
-        [Monomial((0, 0, 0)), Monomial((0, 0, 5))],
-        [Monomial((3, 0)), Monomial((0, 2)), Monomial((1, 1)), Monomial((1, 3))],
+        ((1, 0), (2, 1)),
+        ((0, 0, 0), (0, 0, 5)),
+        ((0, 2), (1, 1), (1, 3), (3, 0)),
+        ((1, 0), (0, 1)),  # an antichain out of ascending lex order
     ):
         with pytest.raises(ValueError, match="antichain"):
-            MonomialIdeal(frozenset(gens), len(gens[0].exponents))
+            MonomialIdeal(gens, len(gens[0]))
+    for gens in ([(1, 0)], ((1, 0), [0, 1]), ((0, 1), (1, 0, 0))):
+        with pytest.raises(ValueError, match="2-tuples"):
+            MonomialIdeal(gens, 2)
 
 
 def test_oversized_box_is_refused_before_enumeration():
